@@ -104,7 +104,7 @@ impl RttEstimator {
 }
 
 /// Send-side state toward one destination node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SenderState {
     /// Next sequence number to assign.
     pub next_seq: u32,
@@ -147,6 +147,76 @@ pub struct SenderState {
     /// Tail entries of `retrans_q` parked by the damped window, awaiting
     /// (re)transmission as it reopens. Always a suffix of the queue.
     pub unsent_tail: usize,
+}
+
+// `Clone` is written out so `clone_from` keeps the destination's queue
+// allocation (the model checker copies states in place). Both methods
+// destructure exhaustively: a new field is a compile error here, never a
+// stale copy.
+impl Clone for SenderState {
+    fn clone(&self) -> Self {
+        let Self {
+            next_seq,
+            generation,
+            retrans_q,
+            since_ack_req,
+            last_progress,
+            retx_busy_until,
+            mapping,
+            map_attempts,
+            remap_backoff_until,
+            rtt,
+            karn_barrier,
+            cwnd,
+            unsent_tail,
+        } = self;
+        Self {
+            next_seq: *next_seq,
+            generation: *generation,
+            retrans_q: retrans_q.clone(),
+            since_ack_req: *since_ack_req,
+            last_progress: *last_progress,
+            retx_busy_until: *retx_busy_until,
+            mapping: *mapping,
+            map_attempts: *map_attempts,
+            remap_backoff_until: *remap_backoff_until,
+            rtt: rtt.clone(),
+            karn_barrier: *karn_barrier,
+            cwnd: *cwnd,
+            unsent_tail: *unsent_tail,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            next_seq,
+            generation,
+            retrans_q,
+            since_ack_req,
+            last_progress,
+            retx_busy_until,
+            mapping,
+            map_attempts,
+            remap_backoff_until,
+            rtt,
+            karn_barrier,
+            cwnd,
+            unsent_tail,
+        } = source;
+        self.next_seq = *next_seq;
+        self.generation = *generation;
+        self.retrans_q.clone_from(retrans_q);
+        self.since_ack_req = *since_ack_req;
+        self.last_progress = *last_progress;
+        self.retx_busy_until = *retx_busy_until;
+        self.mapping = *mapping;
+        self.map_attempts = *map_attempts;
+        self.remap_backoff_until = *remap_backoff_until;
+        self.rtt.clone_from(rtt);
+        self.karn_barrier = *karn_barrier;
+        self.cwnd = *cwnd;
+        self.unsent_tail = *unsent_tail;
+    }
 }
 
 impl Default for SenderState {

@@ -374,7 +374,7 @@ pub enum NodeAction {
 }
 
 /// The whole protocol state of one NIC as a value.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NodeState {
     /// Per-peer send-side state (indexed by node id).
     pub senders: Vec<SenderState>,
@@ -399,6 +399,64 @@ pub struct NodeState {
     pub completed: Vec<u64>,
     /// Per-destination count of descriptors failed (`SendFailed`).
     pub failed: Vec<u64>,
+}
+
+// `Clone` is written out so `clone_from` can reuse the destination's
+// allocations (the model checker copies states into one scratch value per
+// transition). Both methods destructure exhaustively: a new field is a
+// compile error here, never a stale copy.
+impl Clone for NodeState {
+    fn clone(&self) -> Self {
+        let Self {
+            senders,
+            receivers,
+            pool,
+            pending,
+            held,
+            retry_pending,
+            route_ok,
+            tx_counter,
+            completed,
+            failed,
+        } = self;
+        Self {
+            senders: senders.clone(),
+            receivers: receivers.clone(),
+            pool: pool.clone(),
+            pending: pending.clone(),
+            held: held.clone(),
+            retry_pending: retry_pending.clone(),
+            route_ok: route_ok.clone(),
+            tx_counter: *tx_counter,
+            completed: completed.clone(),
+            failed: failed.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            senders,
+            receivers,
+            pool,
+            pending,
+            held,
+            retry_pending,
+            route_ok,
+            tx_counter,
+            completed,
+            failed,
+        } = source;
+        self.senders.clone_from(senders);
+        self.receivers.clone_from(receivers);
+        self.pool.clone_from(pool);
+        self.pending.clone_from(pending);
+        self.held.clone_from(held);
+        self.retry_pending.clone_from(retry_pending);
+        self.route_ok.clone_from(route_ok);
+        self.tx_counter = *tx_counter;
+        self.completed.clone_from(completed);
+        self.failed.clone_from(failed);
+    }
 }
 
 impl NodeState {
@@ -485,6 +543,35 @@ impl NodeModel {
             tx_counter: 0,
             completed: vec![0; n],
             failed: vec![0; n],
+        }
+    }
+
+    /// The one implementation of a [`NodeModel`] step: apply `ev` to `st`
+    /// in place and append the emitted actions to `out`.
+    /// [`ProtocolStep::step`] is a clone of the state followed by this.
+    pub fn step_mut(&self, st: &mut NodeState, ev: &NodeEvent, out: &mut Vec<NodeAction>) {
+        match *ev {
+            NodeEvent::PostSend { dst, payload } => {
+                st.pending.push_back(ModelDesc { dst, payload });
+                self.pump(st, out);
+            }
+            NodeEvent::RxData { src, ref pkt } => self.rx_data(st, out, src, pkt),
+            NodeEvent::RxAck {
+                src,
+                ack_seq,
+                ack_gen,
+            } => self.apply_ack(st, out, src, ack_seq, ack_gen),
+            NodeEvent::ScanTick { dst } => self.replay(st, out, dst, true),
+            NodeEvent::SuspectPermFail { dst } => {
+                let s = &st.senders[dst];
+                if !s.mapping && !st.retry_pending[dst] && !s.retrans_q.is_empty() {
+                    st.route_ok[dst] = false;
+                    st.senders[dst].mapping = true;
+                    out.push(NodeAction::StartMapping { dst });
+                }
+            }
+            NodeEvent::MapResolved { dst, found } => self.map_resolved(st, out, dst, found),
+            NodeEvent::RemapRetry { dst } => self.remap_retry(st, out, dst),
         }
     }
 
@@ -815,31 +902,7 @@ impl ProtocolStep for NodeModel {
     fn step(&self, state: &NodeState, ev: &NodeEvent) -> (NodeState, Vec<NodeAction>) {
         let mut st = state.clone();
         let mut out = Vec::new();
-        match *ev {
-            NodeEvent::PostSend { dst, payload } => {
-                st.pending.push_back(ModelDesc { dst, payload });
-                self.pump(&mut st, &mut out);
-            }
-            NodeEvent::RxData { src, ref pkt } => self.rx_data(&mut st, &mut out, src, pkt),
-            NodeEvent::RxAck {
-                src,
-                ack_seq,
-                ack_gen,
-            } => self.apply_ack(&mut st, &mut out, src, ack_seq, ack_gen),
-            NodeEvent::ScanTick { dst } => self.replay(&mut st, &mut out, dst, true),
-            NodeEvent::SuspectPermFail { dst } => {
-                let s = &st.senders[dst];
-                if !s.mapping && !st.retry_pending[dst] && !s.retrans_q.is_empty() {
-                    st.route_ok[dst] = false;
-                    st.senders[dst].mapping = true;
-                    out.push(NodeAction::StartMapping { dst });
-                }
-            }
-            NodeEvent::MapResolved { dst, found } => {
-                self.map_resolved(&mut st, &mut out, dst, found)
-            }
-            NodeEvent::RemapRetry { dst } => self.remap_retry(&mut st, &mut out, dst),
-        }
+        self.step_mut(&mut st, ev, &mut out);
         (st, out)
     }
 }

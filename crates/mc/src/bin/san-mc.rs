@@ -73,6 +73,17 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Refuse to search a configuration the model cannot represent.
+fn validate_all(configs: &[McConfig]) -> Result<(), ExitCode> {
+    for cfg in configs {
+        if let Err(e) = cfg.validate() {
+            eprintln!("invalid config {e}");
+            return Err(ExitCode::from(2));
+        }
+    }
+    Ok(())
+}
+
 /// One line of verdict per config run.
 fn report_line(r: &san_mc::CheckReport, expect_violation: bool) -> (bool, String) {
     let verdict = match (&r.counterexample, r.truncated, expect_violation) {
@@ -137,6 +148,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
         }
     };
 
+    if let Err(e) = validate_all(&configs) {
+        return e;
+    }
     let mut all_ok = true;
     for cfg in &configs {
         let tel = Telemetry::new();
@@ -241,6 +255,9 @@ fn cmd_stats(args: &[String]) -> ExitCode {
             None => return usage(),
         }
     };
+    if let Err(e) = validate_all(&configs) {
+        return e;
+    }
     println!(
         "{:<8} {:>10} {:>12} {:>7} {:>10} {:>12} {:>9}",
         "config", "states", "transitions", "depth", "dedup", "states/sec", "seconds"

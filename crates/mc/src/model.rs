@@ -14,9 +14,7 @@
 //! bound the adversary and, together with the bounded channels and
 //! message counts, make the reachable state space finite.
 
-use san_ft::step::{
-    FaultKnobs, ModelPacket, NodeAction, NodeEvent, NodeModel, NodeState, ProtocolStep,
-};
+use san_ft::step::{FaultKnobs, ModelPacket, NodeAction, NodeEvent, NodeModel, NodeState};
 use san_ft::{gen_newer, FeedbackPolicy};
 
 /// One checked configuration: topology size, traffic matrix, protocol
@@ -34,7 +32,8 @@ pub struct McConfig {
     /// (wire backpressure — sound for safety, and the go-back-N replay
     /// regenerates them for liveness).
     pub chan_cap: usize,
-    /// Messages to post per ordered pair (`src * n_nodes + dst`), ≤ 12.
+    /// Messages to post per ordered pair (`src * n_nodes + dst`), at most
+    /// [`MAX_MESSAGES_PER_PAIR`].
     pub messages: Vec<u8>,
     /// ACK-request policy for every node.
     pub feedback: FeedbackPolicy,
@@ -244,11 +243,52 @@ impl McConfig {
     pub fn pair(&self, src: usize, dst: usize) -> usize {
         src * self.n_nodes + dst
     }
+
+    /// Reject configurations the model cannot represent faithfully:
+    /// payload ids live in `u16` bitmasks (and are clamped to bit 15, so
+    /// larger counts would alias silently), and the canonical encoding
+    /// stores channel lengths in one byte.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.n_nodes;
+        if n < 2 {
+            return Err(format!("{}: n_nodes {n} < 2", self.name));
+        }
+        if n.checked_mul(n) != Some(self.messages.len()) {
+            return Err(format!(
+                "{}: {} message counts for {n} nodes (need n_nodes²)",
+                self.name,
+                self.messages.len(),
+            ));
+        }
+        if let Some(p) = self
+            .messages
+            .iter()
+            .position(|&m| m > MAX_MESSAGES_PER_PAIR)
+        {
+            return Err(format!(
+                "{}: {} messages on pair {}->{} (at most {MAX_MESSAGES_PER_PAIR})",
+                self.name,
+                self.messages[p],
+                p / n,
+                p % n
+            ));
+        }
+        if self.chan_cap == 0 || self.chan_cap > u8::MAX as usize {
+            return Err(format!(
+                "{}: chan_cap {} outside 1..=255",
+                self.name, self.chan_cap
+            ));
+        }
+        Ok(())
+    }
 }
+
+/// Most messages one ordered pair may post (see [`McConfig::validate`]).
+pub const MAX_MESSAGES_PER_PAIR: u8 = 12;
 
 /// One directed channel: packets and ACKs in flight from one node to
 /// another. `up == false` models a dead link — transmissions vanish.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Chan {
     /// Is the link alive in this direction?
     pub up: bool,
@@ -258,8 +298,30 @@ pub struct Chan {
     pub acks: Vec<(u32, u16)>,
 }
 
+// `Clone` for `Chan` and `SysState` is written out so `clone_from` reuses
+// the destination's allocations: the checker copies every expanded state
+// into one scratch successor per transition. Both methods destructure
+// exhaustively, so a new field is a compile error, never a stale copy.
+impl Clone for Chan {
+    fn clone(&self) -> Self {
+        let Self { up, data, acks } = self;
+        Self {
+            up: *up,
+            data: data.clone(),
+            acks: acks.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self { up, data, acks } = source;
+        self.up = *up;
+        self.data.clone_from(data);
+        self.acks.clone_from(acks);
+    }
+}
+
 /// The composite state the checker explores.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SysState {
     /// Every node's protocol state.
     pub nodes: Vec<NodeState>,
@@ -286,6 +348,56 @@ pub struct SysState {
     /// Adversary budget *used* so far: losses, dups, downs, ups,
     /// permfails, spurious (in that order).
     pub used: [u32; 6],
+}
+
+impl Clone for SysState {
+    fn clone(&self) -> Self {
+        let Self {
+            nodes,
+            chans,
+            posted,
+            delivered_mask,
+            gen_delivered_mask,
+            failed_mask,
+            last_delivered,
+            last_dep_gen,
+            used,
+        } = self;
+        Self {
+            nodes: nodes.clone(),
+            chans: chans.clone(),
+            posted: posted.clone(),
+            delivered_mask: delivered_mask.clone(),
+            gen_delivered_mask: gen_delivered_mask.clone(),
+            failed_mask: failed_mask.clone(),
+            last_delivered: last_delivered.clone(),
+            last_dep_gen: last_dep_gen.clone(),
+            used: *used,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            nodes,
+            chans,
+            posted,
+            delivered_mask,
+            gen_delivered_mask,
+            failed_mask,
+            last_delivered,
+            last_dep_gen,
+            used,
+        } = source;
+        self.nodes.clone_from(nodes);
+        self.chans.clone_from(chans);
+        self.posted.clone_from(posted);
+        self.delivered_mask.clone_from(delivered_mask);
+        self.gen_delivered_mask.clone_from(gen_delivered_mask);
+        self.failed_mask.clone_from(failed_mask);
+        self.last_delivered.clone_from(last_delivered);
+        self.last_dep_gen.clone_from(last_dep_gen);
+        self.used = *used;
+    }
 }
 
 impl SysState {
@@ -549,9 +661,9 @@ fn step_node(
     ev: NodeEvent,
     viols: &mut Vec<Violation>,
 ) {
-    let model = cfg.node_model(who);
-    let (next, actions) = model.step(&st.nodes[who], &ev);
-    st.nodes[who] = next;
+    let mut actions = Vec::new();
+    cfg.node_model(who)
+        .step_mut(&mut st.nodes[who], &ev, &mut actions);
     route_actions(cfg, st, who, &actions, viols);
 }
 
@@ -559,7 +671,14 @@ fn step_node(
 /// invariant violations (safety is also re-checked on the whole successor
 /// by [`crate::invariant::check_state`]).
 pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Violation>) {
-    let mut st = st.clone();
+    let mut next = st.clone();
+    let viols = apply_in_place(cfg, &mut next, ev);
+    (next, viols)
+}
+
+/// [`apply`] without the copy: turn `st` into its successor under `ev`,
+/// returning the transition-level invariant violations.
+pub fn apply_in_place(cfg: &McConfig, st: &mut SysState, ev: &McEvent) -> Vec<Violation> {
     let mut viols = Vec::new();
     match *ev {
         McEvent::Post { src, dst } => {
@@ -568,7 +687,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             st.posted[p] += 1;
             step_node(
                 cfg,
-                &mut st,
+                st,
                 src as usize,
                 NodeEvent::PostSend {
                     dst: dst as usize,
@@ -583,7 +702,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
                 .remove(idx as usize);
             step_node(
                 cfg,
-                &mut st,
+                st,
                 dst as usize,
                 NodeEvent::RxData {
                     src: src as usize,
@@ -610,7 +729,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
                 .remove(idx as usize);
             step_node(
                 cfg,
-                &mut st,
+                st,
                 dst as usize,
                 NodeEvent::RxAck {
                     src: src as usize,
@@ -635,7 +754,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
         McEvent::Tick { node, dst } => {
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::ScanTick { dst: dst as usize },
                 &mut viols,
@@ -645,7 +764,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             st.used[4] += 1;
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::SuspectPermFail { dst: dst as usize },
                 &mut viols,
@@ -659,7 +778,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             }
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::MapResolved {
                     dst: dst as usize,
@@ -671,7 +790,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
         McEvent::RetryFire { node, dst } => {
             step_node(
                 cfg,
-                &mut st,
+                st,
                 node as usize,
                 NodeEvent::RemapRetry { dst: dst as usize },
                 &mut viols,
@@ -689,7 +808,7 @@ pub fn apply(cfg: &McConfig, st: &SysState, ev: &McEvent) -> (SysState, Vec<Viol
             st.used[3] += 1;
         }
     }
-    (st, viols)
+    viols
 }
 
 /// Indices of distinct elements in `v` (first occurrence of each value):
@@ -840,21 +959,50 @@ pub fn enabled(cfg: &McConfig, st: &SysState) -> Vec<McEvent> {
 ///   order, the pool contributes only its free count);
 /// * with reordering enabled, channel multisets are sorted.
 pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
-    let n = cfg.n_nodes;
     let mut out = Vec::with_capacity(128);
+    encode_into(cfg, st, &mut out);
+    out
+}
+
+/// Encoded width of a data packet with a piggy-backed ACK; one without
+/// stops after the tag byte, `PKT_SHORT` bytes in.
+const PKT_WIDE: usize = 15;
+/// Encoded width of a data packet without a piggy-backed ACK.
+const PKT_SHORT: usize = 9;
+/// Encoded width of an explicit ACK.
+const ACK_W: usize = 6;
+
+/// [`encode`] into a caller-owned buffer (cleared first), so a search can
+/// reuse one key buffer for every successor.
+///
+/// Channel multisets are sorted as fixed-width records in place, with no
+/// heap allocation. A data packet is sorted as a `PKT_WIDE` record —
+/// a short one zero-padded after its `0` piggy tag — and then compacted
+/// back to its real width. The padding never changes the order: two
+/// records of different widths already differ at the tag byte, so the
+/// bytes are identical to sorting the variable-width encodings.
+pub fn encode_into(cfg: &McConfig, st: &SysState, out: &mut Vec<u8>) {
+    let n = cfg.n_nodes;
+    out.clear();
     let push32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
     let push16 = |out: &mut Vec<u8>, v: u16| out.extend_from_slice(&v.to_le_bytes());
     // Per-pair bases.
     let base_seq = |src: usize, dst: usize| st.nodes[src].senders[dst].next_seq;
     let base_gen = |src: usize, dst: usize| st.nodes[src].senders[dst].generation;
-    let enc_pkt = |out: &mut Vec<u8>, pkt: &ModelPacket, src: usize, dst: usize| {
+    // With `pad`, every packet takes PKT_WIDE bytes (sortable records).
+    let enc_pkt = |out: &mut Vec<u8>, pkt: &ModelPacket, src: usize, dst: usize, pad: bool| {
         push32(out, pkt.seq.wrapping_sub(base_seq(src, dst)));
         push16(out, pkt.generation.wrapping_sub(base_gen(src, dst)));
         out.push(pkt.payload as u8);
         out.push(pkt.ack_request as u8);
         // The piggy-backed ACK acknowledges the *reverse* direction.
         match pkt.piggy {
-            None => out.push(0),
+            None => {
+                out.push(0);
+                if pad {
+                    out.extend_from_slice(&[0; PKT_WIDE - PKT_SHORT]);
+                }
+            }
             Some((aseq, agen)) => {
                 out.push(1);
                 push32(out, aseq.wrapping_sub(base_seq(dst, src)));
@@ -873,8 +1021,8 @@ pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
             // karn_barrier/rtt/cwnd/unsent_tail are deliberately omitted:
             // the model is the fixed-timer baseline (no adaptive RTO, no
             // damping), where they never influence a transition.
-            push32(&mut out, s.since_ack_req);
-            push32(&mut out, s.map_attempts);
+            push32(out, s.since_ack_req);
+            push32(out, s.map_attempts);
             out.push(s.mapping as u8);
             out.push(st.nodes[src].retry_pending[dst] as u8);
             out.push(st.nodes[src].route_ok[dst] as u8);
@@ -884,64 +1032,62 @@ pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
                 let mb = st.nodes[src].pool[b.0 as usize]
                     .as_ref()
                     .expect("queued buffer occupied");
-                push32(&mut out, mb.seq.wrapping_sub(bs));
-                push16(&mut out, mb.generation.wrapping_sub(bg));
+                push32(out, mb.seq.wrapping_sub(bs));
+                push16(out, mb.generation.wrapping_sub(bg));
                 out.push(mb.payload as u8);
                 out.push(mb.ack_request as u8);
             }
             // Receiver at dst for data from src (same sequence space).
             let r = &st.nodes[dst].receivers[src];
-            push32(&mut out, r.expected.wrapping_sub(bs));
-            push16(&mut out, r.generation.wrapping_sub(bg));
+            push32(out, r.expected.wrapping_sub(bs));
+            push16(out, r.generation.wrapping_sub(bg));
             out.push(r.ack_owed as u8);
-            push32(&mut out, r.accepted_since_ack);
+            push32(out, r.accepted_since_ack);
             // Channel src→dst: data in this pair's space, ACKs in the
             // reverse pair's space.
             let ch = &st.chans[cfg.pair(src, dst)];
             out.push(ch.up as u8);
-            let mut data_enc: Vec<Vec<u8>> = ch
-                .data
-                .iter()
-                .map(|p| {
-                    let mut e = Vec::new();
-                    enc_pkt(&mut e, p, src, dst);
-                    e
-                })
-                .collect();
+            out.push(ch.data.len() as u8);
+            let start = out.len();
+            for p in &ch.data {
+                enc_pkt(out, p, src, dst, cfg.reorder);
+            }
             if cfg.reorder {
-                data_enc.sort_unstable();
+                out[start..].as_chunks_mut::<PKT_WIDE>().0.sort_unstable();
+                // Compact: drop the padding of short records. Writes never
+                // overtake reads, so the copy can run forward in place.
+                let mut w = start;
+                for i in 0..ch.data.len() {
+                    let r = start + i * PKT_WIDE;
+                    let len = if out[r + PKT_SHORT - 1] == 0 {
+                        PKT_SHORT
+                    } else {
+                        PKT_WIDE
+                    };
+                    out.copy_within(r..r + len, w);
+                    w += len;
+                }
+                out.truncate(w);
             }
-            out.push(data_enc.len() as u8);
-            for e in data_enc {
-                out.extend_from_slice(&e);
+            out.push(ch.acks.len() as u8);
+            let start = out.len();
+            for &(aseq, agen) in &ch.acks {
+                push32(out, aseq.wrapping_sub(base_seq(dst, src)));
+                push16(out, agen.wrapping_sub(base_gen(dst, src)));
             }
-            let mut ack_enc: Vec<Vec<u8>> = ch
-                .acks
-                .iter()
-                .map(|&(aseq, agen)| {
-                    let mut e = Vec::new();
-                    push32(&mut e, aseq.wrapping_sub(base_seq(dst, src)));
-                    push16(&mut e, agen.wrapping_sub(base_gen(dst, src)));
-                    e
-                })
-                .collect();
             if cfg.reorder {
-                ack_enc.sort_unstable();
-            }
-            out.push(ack_enc.len() as u8);
-            for e in ack_enc {
-                out.extend_from_slice(&e);
+                out[start..].as_chunks_mut::<ACK_W>().0.sort_unstable();
             }
             // Outcome digests.
             let p = cfg.pair(src, dst);
             out.push(st.posted[p]);
-            push16(&mut out, st.delivered_mask[p]);
-            push16(&mut out, st.gen_delivered_mask[p]);
-            push16(&mut out, st.failed_mask[p]);
-            push16(&mut out, st.last_delivered[p] as u16);
-            push16(&mut out, st.last_dep_gen[p].wrapping_sub(bg));
-            push32(&mut out, st.nodes[src].completed[dst] as u32);
-            push32(&mut out, st.nodes[src].failed[dst] as u32);
+            push16(out, st.delivered_mask[p]);
+            push16(out, st.gen_delivered_mask[p]);
+            push16(out, st.failed_mask[p]);
+            push16(out, st.last_delivered[p] as u16);
+            push16(out, st.last_dep_gen[p].wrapping_sub(bg));
+            push32(out, st.nodes[src].completed[dst] as u32);
+            push32(out, st.nodes[src].failed[dst] as u32);
         }
         // Node-level residue: pending descriptors, held descriptors, pool
         // free count, injector phase.
@@ -977,7 +1123,6 @@ pub fn encode(cfg: &McConfig, st: &SysState) -> Vec<u8> {
     {
         out.push((cap - st.used[i].min(cap)) as u8);
     }
-    out
 }
 
 impl McEvent {
@@ -1071,5 +1216,53 @@ impl McEvent {
             _ => return None,
         };
         Some(ev)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_preset_validates() {
+        for cfg in McConfig::presets() {
+            assert_eq!(cfg.validate(), Ok(()), "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_unrepresentable_configs() {
+        let bad = [
+            McConfig {
+                n_nodes: 1,
+                messages: vec![0],
+                ..McConfig::tiny2()
+            },
+            McConfig {
+                messages: vec![0, 3, 0],
+                ..McConfig::tiny2()
+            },
+            McConfig {
+                messages: vec![0, MAX_MESSAGES_PER_PAIR + 1, 0, 0],
+                ..McConfig::tiny2()
+            },
+            McConfig {
+                chan_cap: 0,
+                ..McConfig::tiny2()
+            },
+            McConfig {
+                chan_cap: 256,
+                ..McConfig::tiny2()
+            },
+        ];
+        for cfg in bad {
+            assert!(cfg.validate().is_err(), "accepted {cfg:?}");
+        }
+        let edge = McConfig {
+            messages: vec![0, MAX_MESSAGES_PER_PAIR, 0, 0],
+            chan_cap: 255,
+            ..McConfig::tiny2()
+        };
+        assert_eq!(edge.validate(), Ok(()));
     }
 }

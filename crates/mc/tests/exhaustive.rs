@@ -1,12 +1,14 @@
 //! Exhaustive verification results, pinned.
 //!
 //! These tests run the checker to exhaustion on the small configurations
-//! and pin the outcomes: the exact state-space size of the canonical
-//! config (any unintended change to the protocol kernel or the
-//! canonicalizer moves this number), the exact equivalence of the
+//! and pin the outcomes: the exact state-space sizes (any unintended
+//! change to the protocol kernel or the canonicalizer moves them) and a
+//! digest of the canonical encoding's bytes, the exact equivalence of the
 //! wrap-positioned config, the verdicts of the failure-model configs,
 //! and the leak-knob counterexample with its model and simulator
 //! replays.
+
+use std::collections::{HashSet, VecDeque};
 
 use san_mc::{check, replay_model, replay_on_sim, CheckOpts, McConfig};
 use san_telemetry::Telemetry;
@@ -51,19 +53,24 @@ fn wrap_positioning_is_invisible_to_the_checker() {
 
 /// The full failure model — link death and repair, permanent-failure
 /// suspicion, spurious mapping verdicts, remap retries — verifies, with
-/// liveness.
+/// liveness. The size pins the canonical encoding where generations bump
+/// and links die, which tiny2 never exercises.
 #[test]
 fn remap2_full_failure_model_verifies() {
     let r = run(&McConfig::remap2(), true);
     assert!(r.verified(), "remap2 must verify: {:?}", r.counterexample);
+    assert_eq!(r.states, 18_424, "remap2 state count moved");
+    assert_eq!(r.transitions, 72_396, "remap2 transition count moved");
 }
 
 /// Two senders into one receiver: shared receiver, disjoint sequence
-/// spaces per source pair.
+/// spaces per source pair. The size pins the encoding of a 3-node state.
 #[test]
 fn incast3_verifies() {
     let r = run(&McConfig::incast3(), false);
     assert!(r.verified(), "incast3 must verify: {:?}", r.counterexample);
+    assert_eq!(r.states, 53_907, "incast3 state count moved");
+    assert_eq!(r.transitions, 319_072, "incast3 transition count moved");
 }
 
 /// The re-introduced PR 2 bug (stale remap retries dropping held
@@ -174,4 +181,49 @@ fn telemetry_counters_match_report() {
     assert_eq!(tel.counter("mc.transitions").get(), r.transitions as u64);
     assert_eq!(tel.counter("mc.dedup").get(), r.dedup_hits as u64);
     assert!(tel.gauge("mc.states_per_sec").get() > 0);
+}
+
+/// FNV-1a digest of the canonical encoding of every successor of the
+/// first `expand` states in BFS order: pins the encoding's bytes, not
+/// just how many distinct states it yields.
+fn encoding_digest(cfg: &McConfig, expand: usize) -> u64 {
+    let init = san_mc::SysState::initial(cfg);
+    let mut seen = HashSet::from([san_mc::encode(cfg, &init)]);
+    let mut queue = VecDeque::from([init]);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..expand {
+        let Some(st) = queue.pop_front() else { break };
+        for ev in san_mc::enabled(cfg, &st) {
+            let (next, _) = san_mc::apply(cfg, &st, &ev);
+            let key = san_mc::encode(cfg, &next);
+            for &b in &key {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            if seen.insert(key) {
+                queue.push_back(next);
+            }
+        }
+    }
+    h
+}
+
+/// The canonical encoding's bytes are pinned on a channel-sorting config
+/// (tiny2, first 8,000 expansions), a generation-bumping one (remap2,
+/// whole graph) and a 3-node one (incast3, first 3,000 expansions).
+#[test]
+fn canonical_encoding_bytes_are_pinned() {
+    let digests = [
+        encoding_digest(&McConfig::tiny2(), 8_000),
+        encoding_digest(&McConfig::remap2(), usize::MAX),
+        encoding_digest(&McConfig::incast3(), 3_000),
+    ];
+    assert_eq!(
+        digests,
+        [
+            1_799_709_684_351_562_199,
+            11_909_479_081_960_540_803,
+            1_905_442_335_041_191_389
+        ],
+        "canonical encoding moved"
+    );
 }

@@ -30,6 +30,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== perfbench tests (benchmark output checks and their negative controls)"
+# The benchmark is its own package (perfbench/, outside the workspace), so
+# the workspace test run above does not reach its tests: the checks that a
+# missing message, a truncated mc search or a violating chaos trial fail.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # tiny2/wrap2 must verify exhaustively (with liveness); leak2 must FAIL
 # with a conservation counterexample — if the checker stops finding the
