@@ -1,8 +1,7 @@
 //! `engine`: throughput study of the simulation engine core itself —
 //! wall-clock events/sec and simulated-ns per wall-ms of the timing-wheel
 //! scheduler + arena fabric, swept over atlas fabrics from 16 to 1024
-//! hosts, plus a shards=1 vs shards=8 comparison of the conservative
-//! parallel engine at the largest size.
+//! hosts.
 //!
 //! Traffic is a fixed shift permutation (host `i` streams to host
 //! `i + n/2 mod n`) with routes installed only for the pairs that talk —
@@ -13,15 +12,16 @@
 //! The default run writes `BENCH_engine.json` (`--json <path>` overrides):
 //! per-fabric rows and the largest host count each family finishes inside
 //! the 60 s wall budget. `--smoke` is the CI gate: a 16-host fabric must
-//! clear an events/sec floor, and a shards=2 run must be self-deterministic
-//! and delivery-identical to shards=1.
+//! deliver the whole permutation, clear an events/sec floor, and give the
+//! same delivery, event, sim-time, drop and reset counts on a second run.
+//! `--one <spec>` measures and prints one fabric without writing JSON.
 
 use std::time::Instant;
 
 use san_fabric::updown::UpDownMap;
 use san_fabric::{NodeId, Route, Topology};
 use san_nic::testkit::StreamSender;
-use san_nic::{ClusterConfig, HostAgent, ShardedCluster, UnreliableFirmware};
+use san_nic::{Cluster, ClusterConfig, HostAgent, UnreliableFirmware};
 use san_sim::{Duration, Time};
 use san_topo::TopoSpec;
 
@@ -41,13 +41,11 @@ const MAX_SLICES: u64 = 2_000;
 struct Row {
     fabric: String,
     hosts: usize,
-    shards: usize,
     delivered: u64,
     expected: u64,
     drops: [u64; 6],
     resets: u64,
     events: u64,
-    crossings: u64,
     sim_ns: u64,
     wall_ms: f64,
 }
@@ -62,8 +60,7 @@ impl Row {
 }
 
 /// The shift permutation: everyone sends, everyone receives, every stream
-/// crosses the "middle" of the host id space (and so, on most shapes, a
-/// shard boundary).
+/// crosses the "middle" of the host id space.
 fn perm(n: usize, i: usize) -> usize {
     (i + n / 2) % n
 }
@@ -86,7 +83,7 @@ fn perm_routes(topo: &Topology, n: usize) -> Vec<Option<Route>> {
 }
 
 /// Build the world, stream the permutation to completion, measure.
-fn run_one(spec: &TopoSpec, shards: usize) -> Row {
+fn run_one(spec: &TopoSpec) -> Row {
     let fabric = spec.build();
     let n = fabric.hosts.len();
     let routes = perm_routes(&fabric.topo, n);
@@ -100,20 +97,17 @@ fn run_one(spec: &TopoSpec, shards: usize) -> Row {
     cfg.engine.path_reset_timeout = Duration::from_millis(4_000);
 
     let t0 = Instant::now();
-    let mut sc = ShardedCluster::new(
-        fabric.topo,
-        cfg,
-        shards,
-        |_| Box::new(UnreliableFirmware),
-        |i| -> Box<dyn HostAgent> {
+    let hosts = (0..n)
+        .map(|i| -> Box<dyn HostAgent> {
             Box::new(StreamSender::new(
-                NodeId(perm(n, i.idx()) as u16),
+                NodeId(perm(n, i) as u16),
                 BYTES,
                 MESSAGES,
             ))
-        },
-    );
-    sc.install_routes(|a, b| {
+        })
+        .collect();
+    let mut c = Cluster::new(fabric.topo, cfg, |_| Box::new(UnreliableFirmware), hosts);
+    c.install_routes(|a, b| {
         if perm(n, a.idx()) == b.idx() {
             routes[a.idx()]
         } else {
@@ -125,24 +119,22 @@ fn run_one(spec: &TopoSpec, shards: usize) -> Row {
     let mut slices = 0u64;
     loop {
         deadline += SLICE;
-        sc.run_until(deadline);
+        c.run_until(deadline);
         slices += 1;
-        if sc.engine_stats().delivered >= expected || slices >= MAX_SLICES {
+        if c.engine.stats().delivered >= expected || slices >= MAX_SLICES {
             break;
         }
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = sc.engine_stats();
+    let stats = c.engine.stats();
     Row {
         fabric: spec.format(),
         hosts: n,
-        shards: sc.num_shards(),
         delivered: stats.delivered,
         expected,
         drops: stats.dropped,
         resets: stats.path_resets,
-        events: sc.events_processed(),
-        crossings: sc.crossings(),
+        events: c.events_processed(),
         sim_ns: deadline.nanos(),
         wall_ms,
     }
@@ -150,17 +142,15 @@ fn run_one(spec: &TopoSpec, shards: usize) -> Row {
 
 fn print_row(r: &Row) {
     println!(
-        "{:<18} hosts={:<5} shards={} delivered={}/{} drops={:?} resets={} events={} crossings={} \
+        "{:<18} hosts={:<5} delivered={}/{} drops={:?} resets={} events={} \
          wall={:.1}ms  {:.2}M events/s  {:.0} sim-ns/wall-ms",
         r.fabric,
         r.hosts,
-        r.shards,
         r.delivered,
         r.expected,
         r.drops,
         r.resets,
         r.events,
-        r.crossings,
         r.wall_ms,
         r.events_per_sec() / 1e6,
         r.sim_ns_per_wall_ms(),
@@ -182,16 +172,14 @@ fn write_json(path: &str, rows: &[Row], max_hosts: &[(String, usize)]) {
     s.push_str("},\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"fabric\": \"{}\", \"hosts\": {}, \"shards\": {}, \"delivered\": {}, \
-             \"expected\": {}, \"events\": {}, \"crossings\": {}, \"sim_ns\": {}, \
-             \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"sim_ns_per_wall_ms\": {:.0}}}{}\n",
+            "    {{\"fabric\": \"{}\", \"hosts\": {}, \"delivered\": {}, \"expected\": {}, \
+             \"events\": {}, \"sim_ns\": {}, \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \
+             \"sim_ns_per_wall_ms\": {:.0}}}{}\n",
             r.fabric,
             r.hosts,
-            r.shards,
             r.delivered,
             r.expected,
             r.events,
-            r.crossings,
             r.sim_ns,
             r.wall_ms,
             r.events_per_sec(),
@@ -247,68 +235,81 @@ fn family_series() -> Vec<(&'static str, Vec<TopoSpec>)> {
 
 fn smoke() {
     let spec = TopoSpec::FatTree { k: 4 };
-    let serial = run_one(&spec, 1);
-    print_row(&serial);
+    let a = run_one(&spec);
+    print_row(&a);
     assert_eq!(
-        serial.delivered, serial.expected,
-        "smoke: serial run must deliver the whole permutation"
+        a.delivered, a.expected,
+        "smoke: the run must deliver the whole permutation"
     );
     let floor = 50_000.0;
     assert!(
-        serial.events_per_sec() > floor,
+        a.events_per_sec() > floor,
         "smoke: {:.0} events/sec is below the {floor} floor",
-        serial.events_per_sec()
+        a.events_per_sec()
     );
-    let a = run_one(&spec, 2);
-    let b = run_one(&spec, 2);
-    print_row(&a);
-    assert!(a.crossings > 0, "smoke: permutation must cross shards");
+    let b = run_one(&spec);
     assert_eq!(
-        (a.delivered, a.crossings),
-        (b.delivered, b.crossings),
-        "smoke: shards=2 must be self-deterministic"
-    );
-    assert_eq!(
-        a.delivered, serial.delivered,
-        "smoke: shards=2 delivery must match shards=1"
+        (a.delivered, a.events, a.sim_ns, a.drops, a.resets),
+        (b.delivered, b.events, b.sim_ns, b.drops, b.resets),
+        "smoke: two runs of the same fabric must agree exactly"
     );
     println!("engine smoke: OK");
 }
 
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// The CI gate.
+    Smoke,
+    /// Measure one fabric and print its row; no JSON.
+    One(TopoSpec),
+    /// The full sweep, written to this path.
+    Sweep(String),
+}
+
+const USAGE: &str = "usage: engine [--smoke | --one <spec> | --json <path>]";
+
+/// Parse the arguments after the program name. Every malformed command
+/// line is an `Err`, so a typo can never overwrite the committed JSON.
+fn parse_args(args: &[String]) -> Result<Mode, String> {
+    match args {
+        [] => Ok(Mode::Sweep("BENCH_engine.json".into())),
+        [flag] if flag == "--smoke" => Ok(Mode::Smoke),
+        [flag, spec] if flag == "--one" => TopoSpec::parse(spec)
+            .map(Mode::One)
+            .map_err(|e| format!("--one {spec}: {e}")),
+        [flag, path] if flag == "--json" && !path.starts_with("--") => {
+            Ok(Mode::Sweep(path.clone()))
+        }
+        [flag] if flag == "--one" => Err("--one needs a topology spec".into()),
+        [flag, ..] if flag == "--json" => Err("--json needs an output path".into()),
+        _ => Err(format!("unrecognised arguments: {}", args.join(" "))),
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    // Debug/inspection mode: one (spec, shards) measurement, no JSON.
-    if let Some(i) = args.iter().position(|a| a == "--one") {
-        let spec = TopoSpec::parse(&args[i + 1]).expect("bad spec");
-        let shards: usize = args[i + 2].parse().expect("bad shard count");
-        print_row(&run_one(&spec, shards));
-        return;
-    }
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_engine.json".into());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let json_path = match parse_args(&args) {
+        Ok(Mode::Smoke) => return smoke(),
+        Ok(Mode::One(spec)) => return print_row(&run_one(&spec)),
+        Ok(Mode::Sweep(path)) => path,
+        Err(e) => {
+            eprintln!("engine: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     let mut rows: Vec<Row> = Vec::new();
     let mut max_hosts: Vec<(String, usize)> = Vec::new();
-    let mut largest: Option<TopoSpec> = None;
     for (family, series) in family_series() {
         let mut best = 0usize;
         for spec in series {
-            let row = run_one(&spec, 1);
+            let row = run_one(&spec);
             print_row(&row);
             let within = row.wall_ms <= WALL_BUDGET_SECS * 1e3;
             let complete = row.delivered == row.expected;
             if within && complete {
                 best = row.hosts;
-                if family == "fat_tree" {
-                    largest = Some(spec);
-                }
             }
             rows.push(row);
             if !within {
@@ -317,13 +318,50 @@ fn main() {
         }
         max_hosts.push((family.into(), best));
     }
-
-    // Parallel engine: shards=8 vs the serial rows above, at the largest
-    // fat-tree that fit the budget.
-    if let Some(spec) = largest {
-        let row = run_one(&spec, 8);
-        print_row(&row);
-        rows.push(row);
-    }
     write_json(&json_path, &rows, &max_hosts);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn accepts_each_mode() {
+        assert_eq!(parse(&[]), Ok(Mode::Sweep("BENCH_engine.json".into())));
+        assert_eq!(parse(&["--smoke"]), Ok(Mode::Smoke));
+        assert_eq!(
+            parse(&["--one", "fat_tree:4"]),
+            Ok(Mode::One(TopoSpec::FatTree { k: 4 }))
+        );
+        assert_eq!(
+            parse(&["--json", "out.json"]),
+            Ok(Mode::Sweep("out.json".into()))
+        );
+    }
+
+    #[test]
+    fn one_without_spec_is_an_error() {
+        assert!(parse(&["--one"]).is_err());
+    }
+
+    #[test]
+    fn one_with_bad_spec_is_an_error() {
+        let e = parse(&["--one", "not_a_fabric:9"]).unwrap_err();
+        assert!(e.contains("not_a_fabric:9"), "{e}");
+    }
+
+    #[test]
+    fn json_without_path_is_an_error() {
+        assert!(parse(&["--json"]).is_err());
+        assert!(parse(&["--json", "--smoke"]).is_err());
+    }
+
+    #[test]
+    fn extra_argument_is_rejected() {
+        assert!(parse(&["--one", "fat_tree:4", "2"]).is_err());
+    }
 }

@@ -369,8 +369,8 @@ fn coldstart_gate(topo: &Topology, n: usize) {
 }
 
 /// Strategy-equivalence pin (smoke only): the family planner for a
-/// fat-tree is the generic strategy, and the trait path plans
-/// byte-identically to the deprecated free-function shim.
+/// fat-tree is the generic strategy, and plans byte-identically to a
+/// freshly built [`GenericDiversePlanner`].
 fn equivalence_gate(spec: &TopoSpec, topo: &Topology, sample: &[NodeId]) {
     let mut p = planner_for(spec);
     assert_eq!(
@@ -386,10 +386,16 @@ fn equivalence_gate(spec: &TopoSpec, topo: &Topology, sample: &[NodeId]) {
         alive: &alive,
         hints: None,
     });
-    let legacy = san_topo::plan(topo, sample, HINT_K, |_| true);
+    let generic = GenericDiversePlanner::new().plan(&PlanRequest {
+        topo,
+        hosts: sample,
+        k: HINT_K,
+        alive: &alive,
+        hints: None,
+    });
     assert_eq!(
         planned.table.fingerprint(),
-        legacy.fingerprint(),
+        generic.table.fingerprint(),
         "trait path must stay byte-identical to the historical planner"
     );
     println!("  equivalence gate: trait plan == historical plan (fingerprint match)");

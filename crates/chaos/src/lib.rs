@@ -35,8 +35,5 @@ pub use campaign::{
 };
 pub use json::Json;
 pub use oracle::{check, Observation, Violation, ViolationKind};
-pub use runner::{
-    run_campaign, run_trial, run_trial_traced, run_trial_traced_legacy_heap, CampaignOutcome,
-    TrialOutcome,
-};
+pub use runner::{run_campaign, run_trial, run_trial_traced, CampaignOutcome, TrialOutcome};
 pub use shrink::{shrink, ShrinkResult};

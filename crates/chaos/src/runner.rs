@@ -246,18 +246,6 @@ pub fn run_trial(trial: &Trial) -> TrialOutcome {
 /// [`run_trial`], additionally returning the trial's trace-ring scan
 /// (for `san-chaos replay --trace` and post-mortem tooling).
 pub fn run_trial_traced(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceScan) {
-    run_trial_on(trial, false)
-}
-
-/// [`run_trial_traced`] on the legacy binary-heap scheduler instead of the
-/// timing wheel. The knob is runner-level on purpose — it is not part of
-/// the trial value, because it must never change an outcome; equivalence
-/// tests compare this against [`run_trial_traced`] byte for byte.
-pub fn run_trial_traced_legacy_heap(trial: &Trial) -> (TrialOutcome, san_telemetry::TraceScan) {
-    run_trial_on(trial, true)
-}
-
-fn run_trial_on(trial: &Trial, legacy_heap: bool) -> (TrialOutcome, san_telemetry::TraceScan) {
     let built = trial.topology.build();
     let n = built.hosts.len();
 
@@ -266,7 +254,6 @@ fn run_trial_on(trial: &Trial, legacy_heap: bool) -> (TrialOutcome, san_telemetr
         send_bufs: trial.protocol.send_bufs,
         seed: trial.seed,
         telemetry: telemetry.clone(),
-        legacy_heap,
         ..ClusterConfig::default()
     };
 
@@ -339,8 +326,8 @@ fn run_trial_on(trial: &Trial, legacy_heap: bool) -> (TrialOutcome, san_telemetr
     // permanent failure the mapper verifies these with one host probe
     // each before paying for a blind BFS exploration. The strategy is
     // selected by topology family (`planner_for`): tori get the
-    // symmetry-template planner, everything else the generic one, whose
-    // routes are byte-identical to the historical free-function planner.
+    // symmetry-template planner, everything else the generic one (its
+    // plans are fingerprint-pinned in san-topo's tests/planner_api.rs).
     let mut planner = planner_for(&trial.topology.atlas_spec());
     let hints: Vec<(NodeId, NodeId, Vec<san_fabric::Route>)> = if proto.reliable && proto.mapping {
         pairs

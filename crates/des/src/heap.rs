@@ -1,11 +1,10 @@
-//! Legacy binary-heap scheduler keyed on `(time, sequence)`.
+//! Reference binary-heap scheduler keyed on `(time, sequence)`.
 //!
-//! This is the reference implementation the timing wheel must match pop for
-//! pop: the sequence number makes simultaneous events fire in insertion
-//! order, which is what makes whole-system runs reproducible. It stays in the
-//! tree for the wheel-vs-heap equivalence tests and the scheduler
-//! microbenchmark, and as a runtime fallback (`EventQueue::legacy_heap` in
-//! `san-sim`).
+//! This is the implementation the timing wheel must match pop for pop: the
+//! sequence number makes simultaneous events fire in insertion order, which
+//! is what makes whole-system runs reproducible. No simulation runs on it;
+//! it stays in the tree only for the wheel-vs-heap proptests and the
+//! scheduler microbenchmark.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

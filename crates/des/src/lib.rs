@@ -7,14 +7,13 @@
 //!   an overflow tier for far-future timers. O(1) schedule and near-O(1) fire
 //!   close to the horizon, with pop order *identical* to a binary heap keyed
 //!   on `(time, insertion sequence)` — the determinism contract of the repo.
-//! * [`heap::HeapQueue`] — the legacy `BinaryHeap` scheduler, kept as the
-//!   reference implementation for equivalence tests and microbenchmarks.
+//! * [`heap::HeapQueue`] — the original `BinaryHeap` scheduler. Nothing runs
+//!   on it: it is the reference the wheel proptests and the scheduler
+//!   microbenchmark compare against.
 //! * [`arena`] — slab allocator with stable `u32` indices + generation tags
 //!   (in-flight packets), a chain arena for wormhole channel-occupancy lists,
 //!   and a box pool for packet recycling on the NIC hot path.
 //! * [`intern`] — byte-buffer interner with stable `u32` ids (route tables).
-//! * [`sync`] — conservative time-window synchronization for sharded
-//!   parallel simulation (CMB-style lookahead windows over a spin barrier).
 //!
 //! Everything here is plain `std`; determinism is the design constraint that
 //! shapes each structure, and each module documents the ordering invariant it
@@ -23,5 +22,4 @@
 pub mod arena;
 pub mod heap;
 pub mod intern;
-pub mod sync;
 pub mod wheel;

@@ -6,7 +6,7 @@
 //! event queue or the explicit contexts ([`NicCtx`], [`HostCtx`]) — there is
 //! no shared mutable state, which is what keeps runs deterministic.
 
-use san_fabric::engine::{Engine, EngineConfig, FabricEvent, FabricOut, PortalCrossing};
+use san_fabric::engine::{Engine, EngineConfig, FabricEvent, FabricOut};
 use san_fabric::{NodeId, Packet, Route, Topology};
 use san_sim::{Duration, Sim, Time};
 use san_telemetry::Telemetry;
@@ -90,9 +90,6 @@ pub enum ClusterEvent {
     Nic(NodeId, NicEvent),
     /// Host event.
     Host(NodeId, HostEvent),
-    /// A flight from another shard becomes ready at our side of a cut link
-    /// (sharded runs only; scheduled at the crossing's `ready_at`).
-    Portal(Box<PortalCrossing>),
 }
 
 impl From<FabricEvent> for ClusterEvent {
@@ -189,10 +186,6 @@ pub struct ClusterConfig {
     /// Observability handle every layer registers into. The default is
     /// metrics-only; pass `Telemetry::with_trace(..)` to record events.
     pub telemetry: Telemetry,
-    /// Run the event queue on the legacy binary-heap scheduler instead of
-    /// the timing wheel. Both orders are identical by contract; this knob
-    /// exists so equivalence tests can prove it trial-by-trial.
-    pub legacy_heap: bool,
 }
 
 impl Default for ClusterConfig {
@@ -203,7 +196,6 @@ impl Default for ClusterConfig {
             send_bufs: 32,
             seed: 1,
             telemetry: Telemetry::new(),
-            legacy_heap: false,
         }
     }
 }
@@ -221,10 +213,6 @@ pub struct Cluster {
     /// The observability handle shared by every layer (same handle the
     /// caller put in [`ClusterConfig::telemetry`]).
     pub telemetry: Telemetry,
-    /// Flights that reached a link owned by another shard during the last
-    /// run; the sharded driver drains these between windows. Always empty
-    /// in unsharded runs.
-    pub shard_out: Vec<Box<PortalCrossing>>,
     started: bool,
     events_processed: u64,
 }
@@ -256,16 +244,11 @@ impl Cluster {
             })
             .collect();
         Self {
-            sim: if cfg.legacy_heap {
-                Sim::new_with_legacy_heap(cfg.seed)
-            } else {
-                Sim::new(cfg.seed)
-            },
+            sim: Sim::new(cfg.seed),
             engine,
             nics,
             hosts,
             telemetry,
-            shard_out: Vec::new(),
             started: false,
             events_processed: 0,
         }
@@ -334,13 +317,7 @@ impl Cluster {
         self.events_processed
     }
 
-    /// Run every component's `on_start` hook without processing any events.
-    /// The sharded driver calls this before the first synchronization window
-    /// so `peek_time` sees the seeded queue; `run_until` does it implicitly.
-    pub fn start(&mut self) {
-        self.start_if_needed();
-    }
-
+    /// Run every component's `on_start` hook, once, before the first event.
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -398,12 +375,6 @@ impl Cluster {
                 let drained: Vec<FabricOut> = std::mem::take(outs);
                 self.process_outs(drained);
             }
-            ClusterEvent::Portal(x) => {
-                outs.clear();
-                self.engine.inject_crossing(&mut self.sim, *x, outs);
-                let drained: Vec<FabricOut> = std::mem::take(outs);
-                self.process_outs(drained);
-            }
             ClusterEvent::Nic(node, ne) => {
                 let mut ctx = NicCtx {
                     sim: &mut self.sim,
@@ -452,7 +423,6 @@ impl Cluster {
                 FabricOut::Dropped { .. } => {
                     // Silent on real hardware; engine stats keep it.
                 }
-                FabricOut::ShardCross(x) => self.shard_out.push(x),
             }
         }
     }

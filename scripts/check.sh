@@ -42,7 +42,7 @@ echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # re-introduced PR 2 leak, this gate trips.
 cargo run --release -q -p san-mc -- check --smoke
 
-echo "== engine smoke (scheduler throughput floor + shard determinism gate)"
+echo "== engine smoke (scheduler throughput floor + serial determinism gate)"
 cargo run --release -q -p san-bench --bin engine -- --smoke
 
 echo "== scale_map smoke (atlas + planner-hint remap gate)"
