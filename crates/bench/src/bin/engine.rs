@@ -1,6 +1,6 @@
 //! `engine`: throughput study of the simulation engine core itself —
 //! wall-clock events/sec and simulated-ns per wall-ms of the timing-wheel
-//! scheduler + arena fabric, swept over atlas fabrics from 16 to 1024
+//! scheduler and the fabric, swept over atlas fabrics from 16 to 1024
 //! hosts.
 //!
 //! Traffic is a fixed shift permutation (host `i` streams to host

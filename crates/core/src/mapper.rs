@@ -13,7 +13,7 @@
 //!   simultaneously proves the switch exists and yields a usable
 //!   `reverse_from` for it — the inductive step that keeps the whole
 //!   exploration possible with pure source routing (after Mainwaring et
-//!   al.'s SAN mapping [22]). Because Myrinet switches carry no identity,
+//!   al.'s SAN mapping \[22\]). Because Myrinet switches carry no identity,
 //!   a hit is followed by a **signature scan** — host probes on every port of
 //!   the candidate. The per-port host population is the switch's identity:
 //!   anonymous switches are told apart by who hangs off them, which is

@@ -1,7 +1,7 @@
-//! `san-des` — engine core for the SAN reproduction.
+//! `san-des` — the event scheduler for the SAN reproduction.
 //!
-//! This crate sits *below* `san-sim` and holds the performance-critical
-//! machinery that every layer above shares:
+//! This crate sits *below* `san-sim` and holds the event scheduler every
+//! layer above runs on:
 //!
 //! * [`wheel::TimingWheel`] — hierarchical timing wheel / calendar queue with
 //!   an overflow tier for far-future timers. O(1) schedule and near-O(1) fire
@@ -10,16 +10,10 @@
 //! * [`heap::HeapQueue`] — the original `BinaryHeap` scheduler. Nothing runs
 //!   on it: it is the reference the wheel proptests and the scheduler
 //!   microbenchmark compare against.
-//! * [`arena`] — slab allocator with stable `u32` indices + generation tags
-//!   (in-flight packets), a chain arena for wormhole channel-occupancy lists,
-//!   and a box pool for packet recycling on the NIC hot path.
-//! * [`intern`] — byte-buffer interner with stable `u32` ids (route tables).
 //!
 //! Everything here is plain `std`; determinism is the design constraint that
 //! shapes each structure, and each module documents the ordering invariant it
 //! preserves.
 
-pub mod arena;
 pub mod heap;
-pub mod intern;
 pub mod wheel;

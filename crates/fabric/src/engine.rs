@@ -1,6 +1,6 @@
 //! The cut-through traversal engine.
 //!
-//! A packet in flight (a [`Flight`]) acquires the *directed channels* along
+//! A packet in flight (a `Flight`) acquires the *directed channels* along
 //! its source route one hop at a time. A channel belongs to at most one
 //! flight; a flight that finds its next channel busy waits in that channel's
 //! FIFO **while still holding everything it already acquired** — that is
@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use san_des::arena::{Chain, ChainArena, Slab};
+use crate::slab::Slab;
 use san_sim::{Duration, Sim, SimRng, Time};
 use san_telemetry::{Layer, Telemetry, TraceEvent, TraceKind};
 
@@ -254,10 +254,10 @@ struct Channel {
 struct Flight {
     pkt: Packet,
     src: NodeId,
-    /// Acquired channels, insertion-ordered, in the engine's [`ChainArena`].
-    held: Chain,
+    /// Acquired channels, in acquisition order. Delivery reads the return
+    /// route off them (the input port at each switch entered).
+    held: Vec<u32>,
     hop_idx: usize,
-    reverse_in_ports: Vec<u8>,
     ser_done: Time,
     waiting_on: Option<u32>,
     will_drop_on_wire: bool,
@@ -275,8 +275,6 @@ pub struct Engine {
     /// (identical to the hand-rolled slab this replaced, so event-epoch
     /// matching and slot-assignment order are unchanged).
     flights: Slab<Flight>,
-    /// Node pool for every flight's held-channel chain.
-    chains: ChainArena,
     /// Trace events buffered within a dispatch, flushed to the ring in one
     /// head claim at every public-method exit (so records from other layers
     /// interleave exactly as they did with per-event recording).
@@ -330,7 +328,6 @@ impl Engine {
             channels,
             switch_alive,
             flights: Slab::new(),
-            chains: ChainArena::new(),
             tbatch: Vec::new(),
             trace_on: tel.tracing_enabled(),
             faults: TransientFaults::none(),
@@ -550,9 +547,8 @@ impl Engine {
         let f = Flight {
             pkt,
             src,
-            held: Chain::EMPTY,
+            held: Vec::new(),
             hop_idx: 0,
-            reverse_in_ports: Vec::with_capacity(4),
             ser_done: Time::MAX, // set on first acquire
             waiting_on: None,
             will_drop_on_wire: will_drop,
@@ -665,12 +661,15 @@ impl Engine {
         let bw = self.cfg.link_bandwidth;
         let now = sim.now();
         self.channels[ch as usize].acquired_at = now;
-        let Self {
-            flights, chains, ..
-        } = self;
-        let f = flights.get_mut(flight).unwrap();
+        let f = self.flights.get_mut(flight).unwrap();
         f.waiting_on = None;
-        chains.push(&mut f.held, ch);
+        if f.held.is_empty() {
+            // Sized on the first grant, not at injection: under load many
+            // flights queue at their injection channel holding nothing. One
+            // channel per hop plus the injection channel.
+            f.held.reserve_exact(f.pkt.route.len() + 1);
+        }
+        f.held.push(ch);
         if f.held.len() == 1 {
             // First channel: the body starts streaming now.
             f.ser_done = now + Duration::for_bytes(f.pkt.wire_bytes() as u64, bw);
@@ -685,10 +684,7 @@ impl Engine {
         flight: u32,
         out: &mut Vec<FabricOut>,
     ) {
-        let last_ch = {
-            let f = self.flights.get(flight).unwrap();
-            self.chains.last(&f.held).unwrap()
-        };
+        let last_ch = *self.flights.get(flight).unwrap().held.last().unwrap();
         let at = self.channel_dst(last_ch);
         match at {
             Endpoint::Host(_h) => {
@@ -707,15 +703,14 @@ impl Engine {
                 let t = sim.now().max(ser_done);
                 sim.schedule(t, FabricEvent::TailDone { flight, epoch }.into());
             }
-            Endpoint::Switch(s, in_port) => {
+            Endpoint::Switch(s, _) => {
                 if !self.switch_alive[s.idx()] {
                     let f = self.kill_flight(sim, flight, out);
                     self.report_drop(sim.now(), f.pkt, DropReason::DeadSwitch, out);
                     return;
                 }
                 let (hop_idx, route_len) = {
-                    let f = self.flights.get_mut(flight).unwrap();
-                    f.reverse_in_ports.push(in_port.0);
+                    let f = self.flights.get(flight).unwrap();
                     (f.hop_idx, f.pkt.route.len())
                 };
                 if hop_idx >= route_len {
@@ -761,18 +756,19 @@ impl Engine {
         flight: u32,
         out: &mut Vec<FabricOut>,
     ) {
-        let last_ch = {
-            let f = self.flights.get(flight).unwrap();
-            self.chains.last(&f.held).unwrap()
-        };
+        let last_ch = *self.flights.get(flight).unwrap().held.last().unwrap();
         let dest = self.channel_dst(last_ch);
         let mut f = self.take_flight(flight);
-        self.release_held(sim, &mut f, out);
+        self.release_held(sim, &f, out);
         let node = dest.host().expect("finish_delivery at a non-host");
-        // Build the usable return route: reversed input ports.
+        // Build the usable return route: the input port of every switch
+        // the packet entered, last switch first. Every held channel but the
+        // last ends at such a port.
         let mut rev = Route::empty();
-        for &p in f.reverse_in_ports.iter().rev() {
-            rev = rev.then(p);
+        for &ch in f.held.iter().rev() {
+            if let Endpoint::Switch(_, in_port) = self.channel_dst(ch) {
+                rev = rev.then(in_port.0);
+            }
         }
         f.pkt.reverse_route = rev;
         f.pkt.stamps.delivered = sim.now();
@@ -804,7 +800,7 @@ impl Engine {
         if let Some(ch) = f.waiting_on.take() {
             self.channels[ch as usize].waiters.retain(|&w| w != flight);
         }
-        self.release_held(sim, &mut f, out);
+        self.release_held(sim, &f, out);
         f
     }
 
@@ -816,12 +812,11 @@ impl Engine {
     fn release_held<E: From<FabricEvent>>(
         &mut self,
         sim: &mut Sim<E>,
-        f: &mut Flight,
+        f: &Flight,
         _out: &mut Vec<FabricOut>,
     ) {
-        let held = self.chains.take(&mut f.held);
         let now = sim.now();
-        for ch in held {
+        for &ch in &f.held {
             let busy = now.since(self.channels[ch as usize].acquired_at);
             self.metrics.link_busy[(ch / 2) as usize].add(busy.nanos());
             self.channels[ch as usize].owner = None;
@@ -893,7 +888,7 @@ impl Engine {
             .flights
             .iter()
             .filter_map(|(i, fl)| {
-                let hit = self.chains.iter(&fl.held).any(&pred) || fl.waiting_on.is_some_and(&pred);
+                let hit = fl.held.iter().any(|&ch| pred(ch)) || fl.waiting_on.is_some_and(&pred);
                 hit.then_some(i)
             })
             .collect();
@@ -936,7 +931,7 @@ impl Engine {
         self.flights
             .iter()
             .filter(|(_, fl)| {
-                self.chains.iter(&fl.held).any(&pred) || fl.waiting_on.is_some_and(&pred)
+                fl.held.iter().any(|&ch| pred(ch)) || fl.waiting_on.is_some_and(&pred)
             })
             .count() as u64
     }

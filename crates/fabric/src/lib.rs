@@ -26,6 +26,7 @@ pub mod hints;
 pub mod ids;
 pub mod packet;
 pub mod route;
+mod slab;
 pub mod topology;
 pub mod updown;
 

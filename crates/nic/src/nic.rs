@@ -12,7 +12,6 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use san_des::intern::{InternId, Interner};
 use san_fabric::engine::Engine;
 use san_fabric::{NodeId, Packet, PacketFlags, PacketKind, Route};
 use san_sim::{Resource, Sim, Time};
@@ -152,45 +151,58 @@ impl NicStats {
     }
 }
 
-/// Per-destination route table. Route buffers are interned: each distinct
-/// route is stored once and destinations hold dense `u32` ids, so the
-/// dominant per-NIC O(n) cost is 4 bytes per peer plus the (much smaller)
-/// set of distinct routes — up*/down* and spare-tree tables repeat routes
-/// heavily through shared trunks.
+/// Per-destination route table.
+///
+/// A source route from a fixed NIC determines its endpoint, so no two
+/// destinations share a route and there is nothing to deduplicate. A table
+/// may hold one route (a permutation) or one per peer (all-pairs routes),
+/// so each destination holds a 4-byte slot index into a dense store that
+/// grows only with the destinations ever set. A destination claims its
+/// slot on the first `set` and keeps it: later `set`s overwrite the route
+/// in place and `invalidate` clears it in place, so remapping one
+/// destination never grows the table.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    ids: Vec<InternId>,
-    pool: Interner<Route>,
+    /// Slot of each destination in `routes`; `NO_SLOT` until its first `set`.
+    slot: Vec<u32>,
+    routes: Vec<Option<Route>>,
 }
+
+const NO_SLOT: u32 = u32::MAX;
 
 impl RouteTable {
     /// A table for `n` destinations, all unknown.
     pub fn new(n: usize) -> Self {
         Self {
-            ids: vec![InternId::NONE; n],
-            pool: Interner::new(),
+            slot: vec![NO_SLOT; n],
+            routes: Vec::new(),
         }
     }
     /// Route to `dst`, if known.
     pub fn get(&self, dst: NodeId) -> Option<Route> {
-        let id = *self.ids.get(dst.idx())?;
-        (!id.is_none()).then(|| *self.pool.resolve(id))
+        let slot = *self.slot.get(dst.idx())?;
+        *self.routes.get(slot as usize)?
     }
     /// Install a route.
     pub fn set(&mut self, dst: NodeId, r: Route) {
-        self.ids[dst.idx()] = self.pool.intern(r);
+        let slot = &mut self.slot[dst.idx()];
+        if *slot == NO_SLOT {
+            *slot = self.routes.len() as u32;
+            self.routes.push(Some(r));
+        } else {
+            self.routes[*slot as usize] = Some(r);
+        }
     }
     /// Forget a route (permanent-failure handling).
     pub fn invalidate(&mut self, dst: NodeId) {
-        self.ids[dst.idx()] = InternId::NONE;
+        let slot = self.slot[dst.idx()];
+        if slot != NO_SLOT {
+            self.routes[slot as usize] = None;
+        }
     }
     /// Number of known routes.
     pub fn known(&self) -> usize {
-        self.ids.iter().filter(|id| !id.is_none()).count()
-    }
-    /// Number of distinct route buffers behind the table.
-    pub fn distinct_routes(&self) -> usize {
-        self.pool.len()
+        self.routes.iter().filter(|r| r.is_some()).count()
     }
 }
 
@@ -217,10 +229,6 @@ pub struct NicCore {
     pub stats: NicStats,
     /// Observability handle (shared with the whole simulation).
     pub telemetry: Telemetry,
-    /// Recycler for the `Box<Packet>` allocations every wire/RX event
-    /// carries through the queue — steady-state traffic reuses the same
-    /// handful of boxes instead of hitting the allocator per packet.
-    pub pkt_pool: san_des::arena::Pool<Packet>,
     needs_pump: bool,
     /// Packets delivered by the fabric but not yet picked up by the LANai.
     rx_inflight: u32,
@@ -291,7 +299,6 @@ impl NicCore {
             routes: RouteTable::new(n_nodes),
             stats: NicStats::registered(&tel, node),
             telemetry: tel,
-            pkt_pool: san_des::arena::Pool::new(64),
             needs_pump: false,
             rx_inflight: 0,
             fifo_tx_ready: Time::ZERO,
@@ -311,14 +318,6 @@ impl NicCore {
             seq: pkt.seq,
             aux,
         }
-    }
-
-    /// Take a boxed packet out of a queue event, returning the allocation
-    /// to [`NicCore::pkt_pool`] for the next transmit/receive.
-    fn unbox_pkt(&mut self, mut b: Box<Packet>) -> Packet {
-        let p = std::mem::replace(&mut *b, Packet::new(NodeId(0), NodeId(0), PacketKind::Data));
-        self.pkt_pool.put(b);
-        p
     }
 
     /// Firmware can request a descriptor-pump after it frees buffers.
@@ -351,10 +350,9 @@ impl NicCore {
         let (start, done) = self.net_tx.acquire_window(ctx.now().max(earliest), ser);
         self.pool.mark_tx(buf, start);
         let node = self.node;
-        let boxed = self.pkt_pool.take_with(move || pkt);
         ctx.sim.schedule(
             start,
-            ClusterEvent::Nic(node, NicEvent::Inject { pkt: boxed }),
+            ClusterEvent::Nic(node, NicEvent::Inject { pkt: Box::new(pkt) }),
         );
         ctx.sim
             .schedule(done, ClusterEvent::Nic(node, NicEvent::TxInjected { buf }));
@@ -373,10 +371,9 @@ impl NicCore {
         let ser = ctx.engine.serialization(pkt.wire_bytes());
         let (start, _done) = self.net_tx.acquire_window(ctx.now().max(earliest), ser);
         let node = self.node;
-        let boxed = self.pkt_pool.take_with(move || pkt);
         ctx.sim.schedule(
             start,
-            ClusterEvent::Nic(node, NicEvent::Inject { pkt: boxed }),
+            ClusterEvent::Nic(node, NicEvent::Inject { pkt: Box::new(pkt) }),
         );
     }
 
@@ -594,10 +591,9 @@ impl Nic {
         self.core.rx_inflight += 1;
         let t1 = self.core.cpu.acquire(ctx.now(), self.core.timing.rx_proc);
         let node = self.core.node;
-        let boxed = self.core.pkt_pool.take_with(move || pkt);
         ctx.sim.schedule(
             t1,
-            ClusterEvent::Nic(node, NicEvent::RxProcess { pkt: boxed }),
+            ClusterEvent::Nic(node, NicEvent::RxProcess { pkt: Box::new(pkt) }),
         );
     }
 
@@ -619,15 +615,14 @@ impl Nic {
                 self.fw.on_tx_ready(&mut self.core, ctx, buf);
             }
             NicEvent::Inject { pkt } => {
-                let pkt = self.core.unbox_pkt(pkt);
-                ctx.inject(pkt);
+                ctx.inject(*pkt);
             }
             NicEvent::TxInjected { buf } => {
                 self.fw.on_tx_injected(&mut self.core, ctx, buf);
             }
             NicEvent::RxProcess { pkt } => {
                 self.core.rx_inflight = self.core.rx_inflight.saturating_sub(1);
-                let pkt = self.core.unbox_pkt(pkt);
+                let pkt = *pkt;
                 if !pkt.crc_ok() {
                     self.core.stats.crc_drops.hit();
                 } else {
@@ -738,6 +733,30 @@ mod tests {
         assert_eq!(rt.known(), 1);
         // Out-of-range lookups are None, not panics.
         assert!(rt.get(NodeId(99)).is_none());
+        // Re-set after invalidate: the route is back and counted once.
+        rt.set(NodeId(2), Route::from_ports(&[4]));
+        assert_eq!(rt.get(NodeId(2)).unwrap().ports(), &[4]);
+        assert_eq!(rt.known(), 2);
+        // Overwriting a known route replaces it without adding an entry.
+        rt.set(NodeId(0), Route::from_ports(&[2, 5, 6]));
+        assert_eq!(rt.get(NodeId(0)).unwrap().ports(), &[2, 5, 6]);
+        assert_eq!(rt.known(), 2);
+        // Invalidating a never-set destination leaves the others alone.
+        rt.invalidate(NodeId(3));
+        assert_eq!(rt.known(), 2);
+        // 100 remaps of one destination leave exactly one known route.
+        let mut one = RouteTable::new(4);
+        for i in 0..100u8 {
+            one.set(NodeId(1), Route::from_ports(&[i % 8, i / 8]));
+            if i % 3 == 0 {
+                one.invalidate(NodeId(1));
+                one.set(NodeId(1), Route::from_ports(&[i % 8, i / 8]));
+            }
+        }
+        assert_eq!(one.known(), 1);
+        assert_eq!(one.routes.len(), 1, "remaps reuse the destination's slot");
+        assert_eq!(one.get(NodeId(1)).unwrap().ports(), &[99 % 8, 99 / 8]);
+        assert!(one.get(NodeId(0)).is_none());
     }
 
     #[test]

@@ -171,6 +171,25 @@ impl Fabric {
 // module.
 pub use san_fabric::fingerprint::{fingerprint_topology, Fnv};
 
+/// Parse one decimal spec number.
+fn num(txt: &str, what: &str) -> Result<u64, String> {
+    txt.parse::<u64>()
+        .map_err(|_| format!("bad {what} '{txt}'"))
+}
+
+/// Narrow a parsed number to its field's type, or name the field.
+fn fit<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        format!("{what} {v} does not fit in {ty}")
+    })
+}
+
+/// Parse one spec number straight into its field's type.
+fn field<T: TryFrom<u64>>(txt: &str, what: &str) -> Result<T, String> {
+    fit(num(txt, what)?, what)
+}
+
 impl TopoSpec {
     /// The family label.
     pub fn class(&self) -> TopoClass {
@@ -215,6 +234,9 @@ impl TopoSpec {
     /// Parse the string form: `pair`, `chain:K`, `star:N`, `testbed:H`,
     /// `fat_tree:K`, `torus2d:RxCxH`, `torus3d:XxYxZxH`,
     /// `regular:NxDxH[:SEED]`, `spare_tree:FxDxH[:S]`.
+    ///
+    /// A number too large for its field is an error naming the field; it is
+    /// never wrapped or clamped.
     pub fn parse(s: &str) -> Result<TopoSpec, String> {
         let mut parts = s.split(':');
         let kind = parts.next().unwrap_or("");
@@ -224,71 +246,64 @@ impl TopoSpec {
                 .copied()
                 .ok_or(format!("{kind} needs argument {what}"))
         };
-        let num = |txt: &str, what: &str| -> Result<u64, String> {
-            txt.parse::<u64>()
-                .map_err(|_| format!("bad {what} '{txt}'"))
-        };
-        let dims = |txt: &str, n: usize| -> Result<Vec<u64>, String> {
-            let xs: Result<Vec<u64>, String> =
-                txt.split('x').map(|p| num(p, "dimension")).collect();
-            let xs = xs?;
-            if xs.len() != n {
+        let dims = |txt: &str, fields: &[&str]| -> Result<Vec<u64>, String> {
+            let xs: Vec<&str> = txt.split('x').collect();
+            if xs.len() != fields.len() {
+                let n = fields.len();
                 return Err(format!(
                     "{kind} wants {n} 'x'-separated numbers, got '{txt}'"
                 ));
             }
-            Ok(xs)
+            xs.iter().zip(fields).map(|(x, f)| num(x, f)).collect()
         };
         match kind {
             "pair" => Ok(TopoSpec::Pair),
-            "chain" => Ok(TopoSpec::Chain(num(arg(0, "K")?, "chain length")? as u16)),
-            "star" => Ok(TopoSpec::Star(num(arg(0, "N")?, "star size")? as u16)),
-            "testbed" => Ok(TopoSpec::Testbed(
-                num(arg(0, "H")?, "hosts per switch")? as u16
-            )),
+            "chain" => Ok(TopoSpec::Chain(field(arg(0, "K")?, "chain length")?)),
+            "star" => Ok(TopoSpec::Star(field(arg(0, "N")?, "star size")?)),
+            "testbed" => Ok(TopoSpec::Testbed(field(arg(0, "H")?, "hosts per switch")?)),
             "fat_tree" => Ok(TopoSpec::FatTree {
-                k: num(arg(0, "K")?, "arity")?.min(255) as u8,
+                k: field(arg(0, "K")?, "arity")?,
             }),
             "torus2d" => {
-                let d = dims(arg(0, "RxCxH")?, 3)?;
+                let d = dims(arg(0, "RxCxH")?, &["rows", "cols", "hosts"])?;
                 Ok(TopoSpec::Torus2D {
-                    rows: d[0] as u16,
-                    cols: d[1] as u16,
-                    hosts: d[2].min(255) as u8,
+                    rows: fit(d[0], "rows")?,
+                    cols: fit(d[1], "cols")?,
+                    hosts: fit(d[2], "hosts")?,
                 })
             }
             "torus3d" => {
-                let d = dims(arg(0, "XxYxZxH")?, 4)?;
+                let d = dims(arg(0, "XxYxZxH")?, &["x", "y", "z", "hosts"])?;
                 Ok(TopoSpec::Torus3D {
-                    x: d[0] as u16,
-                    y: d[1] as u16,
-                    z: d[2] as u16,
-                    hosts: d[3].min(255) as u8,
+                    x: fit(d[0], "x")?,
+                    y: fit(d[1], "y")?,
+                    z: fit(d[2], "z")?,
+                    hosts: fit(d[3], "hosts")?,
                 })
             }
             "regular" => {
-                let d = dims(arg(0, "NxDxH")?, 3)?;
+                let d = dims(arg(0, "NxDxH")?, &["switches", "degree", "hosts"])?;
                 let seed = match args.get(1) {
                     Some(s) => num(s, "seed")?,
                     None => 1,
                 };
                 Ok(TopoSpec::Regular {
-                    switches: d[0] as u16,
-                    degree: d[1].min(255) as u8,
-                    hosts: d[2].min(255) as u8,
+                    switches: fit(d[0], "switches")?,
+                    degree: fit(d[1], "degree")?,
+                    hosts: fit(d[2], "hosts")?,
                     seed,
                 })
             }
             "spare_tree" => {
-                let d = dims(arg(0, "FxDxH")?, 3)?;
+                let d = dims(arg(0, "FxDxH")?, &["fanout", "depth", "hosts"])?;
                 let spares = match args.get(1) {
-                    Some(s) => num(s, "spares")? as u16,
+                    Some(s) => field(s, "spares")?,
                     None => u16::MAX, // full leaf ring
                 };
                 Ok(TopoSpec::SpareTree {
-                    fanout: d[0].min(255) as u8,
-                    depth: d[1].min(255) as u8,
-                    hosts: d[2].min(255) as u8,
+                    fanout: fit(d[0], "fanout")?,
+                    depth: fit(d[1], "depth")?,
+                    hosts: fit(d[2], "hosts")?,
                     spares,
                 })
             }
@@ -657,6 +672,24 @@ mod tests {
         }
         assert!(TopoSpec::parse("hypercube:4").is_err());
         assert!(TopoSpec::parse("torus2d:8x8").is_err());
+        // Numbers too large for their field are rejected, not wrapped or
+        // clamped (u16 and u8 fields alike).
+        for s in [
+            "torus2d:65537x2x1",
+            "chain:70000",
+            "star:65536",
+            "testbed:65536",
+            "regular:65552x3x1:1",
+            "spare_tree:4x2x2:65537",
+            "fat_tree:256",
+            "torus2d:4x4x256",
+            "torus3d:2x2x65536x1",
+            "regular:8x300x1",
+            "spare_tree:256x2x2",
+        ] {
+            let err = TopoSpec::parse(s).expect_err(s);
+            assert!(err.contains("does not fit"), "{s}: {err}");
+        }
     }
 
     #[test]

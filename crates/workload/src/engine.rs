@@ -1,6 +1,6 @@
 //! The open-loop multi-tenant driver: spec → host agents + shared ledger.
 //!
-//! Every cluster host gets one [`WorkloadHost`] agent. Hosts that source
+//! Every cluster host gets one `WorkloadHost` agent. Hosts that source
 //! tenant streams schedule seeded arrival wakeups; every host can receive
 //! (reassembly and exactly-once dedup ride on an embedded [`VmmcLib`]).
 //! A shared [`WorkloadDriver`] ledger accumulates offered/shed/delivered

@@ -27,6 +27,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc warnings, e.g. dangling intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test"
 cargo test --workspace -q
 
