@@ -122,16 +122,18 @@ pub fn run_radix(cfg: RadixConfig) -> AppRun {
     let hist_base = 2 * dst_base;
     let mut svm_cfg = cfg.svm.clone();
     svm_cfg.pages = svm_cfg.pages.max(cfg.pages_needed(procs));
+    // The bodies run on process threads; capture plain numbers, not the
+    // config (it carries the simulation's thread-bound telemetry handle).
+    let (iterations, passes, digit_bits) = (cfg.iterations, cfg.passes(), cfg.digit_bits);
 
     let bodies: Vec<ProcBody> = (0..procs)
         .map(|p| {
             let sh = shared.clone();
-            let cfg = cfg.clone();
             Box::new(move |io: &mut SvmIo| {
                 let mut svm = Svm::new(io);
-                for _ in 0..cfg.iterations {
-                    for pass in 0..cfg.passes() {
-                        let shift = pass * cfg.digit_bits;
+                for _ in 0..iterations {
+                    for pass in 0..passes {
+                        let shift = pass * digit_bits;
                         let mask = (radix - 1) as u32;
                         // (1) Local histogram of my key block.
                         let local_hist: Vec<u32> = {

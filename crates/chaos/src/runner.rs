@@ -12,8 +12,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use san_fabric::NodeId;
 use san_ft::{MapperConfig, ReliableFirmware};
 use san_nic::testkit::make_desc;
@@ -591,19 +591,19 @@ pub fn run_campaign(campaign: &Campaign, trials: u32, jobs: usize) -> CampaignOu
     } else {
         let next = AtomicUsize::new(0);
         let results = Mutex::new(&mut slots);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..jobs.min(trials as usize) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= trials as usize {
                         break;
                     }
                     let outcome = run_trial(&campaign.sample(i as u32));
-                    results.lock()[i] = Some(outcome);
+                    let mut guard = results.lock().expect("no worker panics holding the lock");
+                    guard[i] = Some(outcome);
                 });
             }
-        })
-        .expect("chaos worker panicked");
+        });
     }
 
     CampaignOutcome {

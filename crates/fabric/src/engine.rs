@@ -275,12 +275,6 @@ pub struct Engine {
     /// (identical to the hand-rolled slab this replaced, so event-epoch
     /// matching and slot-assignment order are unchanged).
     flights: Slab<Flight>,
-    /// Trace events buffered within a dispatch, flushed to the ring in one
-    /// head claim at every public-method exit (so records from other layers
-    /// interleave exactly as they did with per-event recording).
-    tbatch: Vec<TraceEvent>,
-    /// Cached `tel.tracing_enabled()` (fixed at telemetry construction).
-    trace_on: bool,
     faults: TransientFaults,
     fault_rng: SimRng,
     /// Gilbert–Elliott channel state (true = bad) when `faults.burst` is set.
@@ -328,8 +322,6 @@ impl Engine {
             channels,
             switch_alive,
             flights: Slab::new(),
-            tbatch: Vec::new(),
-            trace_on: tel.tracing_enabled(),
             faults: TransientFaults::none(),
             fault_rng: SimRng::seed_from(0x00FA_B017),
             burst_bad: false,
@@ -362,26 +354,10 @@ impl Engine {
         }
     }
 
-    /// Buffer one trace event. Events batch up within a dispatch and flush
-    /// at public-method exits ([`Engine::flush_trace`]); order is preserved,
-    /// so the ring contents stay byte-identical to per-event recording.
+    /// Record one trace event (a single branch when tracing is off).
     #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        if self.trace_on {
-            self.tbatch.push(ev);
-            if self.tbatch.len() >= 32 {
-                self.flush_trace();
-            }
-        }
-    }
-
-    /// Flush buffered trace events to the ring in a single head claim.
-    #[inline]
-    fn flush_trace(&mut self) {
-        if !self.tbatch.is_empty() {
-            self.tel.record_batch(&self.tbatch);
-            self.tbatch.clear();
-        }
+    fn trace(&self, ev: TraceEvent) {
+        self.tel.record(ev);
     }
 
     /// Count + trace + report a drop (every loss funnels through here).
@@ -541,7 +517,6 @@ impl Engine {
         let src = pkt.src;
         let Some(first_link) = self.topo.link_at(Endpoint::Host(src)) else {
             self.report_drop(sim.now(), pkt, DropReason::InvalidRoute, out);
-            self.flush_trace();
             return;
         };
         let f = Flight {
@@ -565,7 +540,6 @@ impl Engine {
         );
         let ch = self.channel_from(first_link, Endpoint::Host(src));
         self.try_acquire(sim, slot, ch, out);
-        self.flush_trace();
     }
 
     // -- event handling -----------------------------------------------------
@@ -623,7 +597,6 @@ impl Engine {
             // Pure notification: the mutation that produced it already ran.
             FabricEvent::Reconfigured { .. } => {}
         }
-        self.flush_trace();
     }
 
     fn live(&self, flight: u32, epoch: u32) -> bool {
@@ -848,7 +821,6 @@ impl Engine {
         if !alive {
             self.kill_flights_on(sim, |held_ch| LinkId(held_ch / 2) == link, out);
         }
-        self.flush_trace();
     }
 
     /// Kill a switch: all its links' channels die with it.
@@ -875,7 +847,6 @@ impl Engine {
             }
         }
         self.kill_flights_on(sim, |ch| dead_links.contains(&LinkId(ch / 2)), out);
-        self.flush_trace();
     }
 
     fn kill_flights_on<E: From<FabricEvent>>(
@@ -1039,7 +1010,6 @@ impl Engine {
         self.provision_link_state(id);
         self.rmetrics.links_added.hit();
         self.finish_reconfig(sim, old_fp, vec![id], Self::switches_of(&[a, b]));
-        self.flush_trace();
         Ok(id)
     }
 
@@ -1090,7 +1060,6 @@ impl Engine {
             vec![link],
             Self::switches_of(&[gone.a, gone.b]),
         );
-        self.flush_trace();
         Some(gone)
     }
 
@@ -1139,8 +1108,6 @@ impl Engine {
         if !switches.contains(&s) {
             switches.push(s);
         }
-        let epoch = self.finish_reconfig(sim, old_fp, incident, switches);
-        self.flush_trace();
-        epoch
+        self.finish_reconfig(sim, old_fp, incident, switches)
     }
 }

@@ -14,7 +14,8 @@
 //! leak-knob config, which must *fail* with a conservation
 //! counterexample (the checker proving it still catches the PR 2 bug).
 //! `trace` replays a serialized counterexample against the model (and,
-//! with `--sim`, its environment schedule against the real simulator).
+//! with `--sim`, its environment schedule against the real simulator);
+//! it exits 1 without replaying if an event is not enabled where it falls.
 //! `stats` prints per-config state-space sizes and throughput.
 
 use std::process::ExitCode;
@@ -209,7 +210,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let replay = san_mc::replay_model(&cfg, &trace);
+    let replay = match san_mc::replay_model(&cfg, &trace) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{file}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if replay.violations.is_empty() {
         println!("model replay: {} events, no violation", trace.len());
     } else {

@@ -9,7 +9,7 @@
 //! CI can be re-run locally with `san-mc trace`.
 
 use crate::invariant::check_state;
-use crate::model::{apply, McConfig, McEvent, SysState, Violation};
+use crate::model::{apply, enabled, McConfig, McEvent, SysState, Violation};
 
 /// Serialize a trace, one event per line.
 pub fn to_lines(trace: &[McEvent]) -> String {
@@ -51,13 +51,24 @@ pub struct Replay {
 
 /// Replay `trace` from the initial state of `cfg`, collecting every
 /// transition- and state-level violation along the way.
-pub fn replay_model(cfg: &McConfig, trace: &[McEvent]) -> Replay {
+///
+/// Returns `Err` naming the first event that is not enabled in the state
+/// it is applied to (a trace the model could never take, e.g. delivering
+/// from an empty channel or addressing a node `cfg` does not have).
+pub fn replay_model(cfg: &McConfig, trace: &[McEvent]) -> Result<Replay, String> {
     let mut st = SysState::initial(cfg);
     let mut violations: Vec<(Option<usize>, Violation)> = check_state(cfg, &st)
         .into_iter()
         .map(|v| (None, v))
         .collect();
     for (i, ev) in trace.iter().enumerate() {
+        if !enabled(cfg, &st).contains(ev) {
+            return Err(format!(
+                "trace event {i} `{}` is not enabled in config `{}`",
+                ev.to_line(),
+                cfg.name
+            ));
+        }
         let (next, viols) = apply(cfg, &st, ev);
         for v in viols {
             violations.push((Some(i), v));
@@ -67,10 +78,10 @@ pub fn replay_model(cfg: &McConfig, trace: &[McEvent]) -> Replay {
         }
         st = next;
     }
-    Replay {
+    Ok(Replay {
         end: st,
         violations,
-    }
+    })
 }
 
 /// Human-readable rendering of a counterexample: numbered events, then
@@ -90,4 +101,23 @@ pub fn render(cfg: &McConfig, violation: &Violation, trace: &[McEvent]) -> Strin
         violation.invariant, violation.detail
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_the_model_cannot_take_are_errors() {
+        let cfg = McConfig::tiny2();
+        for (text, bad) in [
+            ("deliver-data 0 1 0", "event 0 `deliver-data 0 1 0`"),
+            ("post 0 7", "event 0 `post 0 7`"),
+            ("post 0 1\ndeliver-data 0 1 3", "event 1 `deliver-data"),
+        ] {
+            let trace = from_lines(text).unwrap();
+            let err = replay_model(&cfg, &trace).unwrap_err();
+            assert!(err.contains(bad), "{text:?} gave {err:?}");
+        }
+    }
 }

@@ -103,7 +103,7 @@ fn leak_knob_yields_minimal_conservation_counterexample() {
 
     // The trace is deterministic: replaying it reproduces the violation
     // at its final event.
-    let replay = replay_model(&cfg, &cex.trace);
+    let replay = replay_model(&cfg, &cex.trace).expect("counterexample replays");
     assert!(
         replay
             .violations
@@ -121,7 +121,7 @@ fn leak_knob_yields_minimal_conservation_counterexample() {
     // Without the knob, the identical trace is violation-free: the
     // counterexample indicts the bug, not the scenario.
     let fixed = McConfig::remap2();
-    let clean = replay_model(&fixed, &cex.trace);
+    let clean = replay_model(&fixed, &cex.trace).expect("leak trace replays on the fixed model");
     assert!(
         clean.violations.is_empty(),
         "fixed model must survive the leak trace: {:?}",

@@ -24,17 +24,26 @@
 //! * **exporters** ([`export`]) — JSON and CSV dumps plus a compact text
 //!   summary; every `san-bench` binary takes `--telemetry <dir>`.
 //!
-//! A [`Telemetry`] handle is cheap to clone (it is an `Arc`) and is
-//! threaded through cluster construction via `ClusterConfig::telemetry`;
-//! the handle the caller keeps observes everything the simulation
-//! recorded.
+//! A [`Telemetry`] handle is cheap to clone and is threaded through
+//! cluster construction via `ClusterConfig::telemetry`; the handle the
+//! caller keeps observes everything the simulation recorded.
+//!
+//! A simulation runs on one thread, so handles are plain `Rc`/`Cell`
+//! state and are neither `Send` nor `Sync`: parallel harnesses build one
+//! telemetry per trial on the thread that runs it. Moving a handle to
+//! another thread does not compile:
+//!
+//! ```compile_fail
+//! let tel = san_telemetry::Telemetry::new();
+//! std::thread::spawn(move || tel.counter("x").hit());
+//! ```
 
 pub mod export;
 pub mod lifecycle;
 pub mod metrics;
 pub mod trace;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 pub use metrics::{
     Counter, Gauge, HistogramHandle, MetricKind, MetricValue, RegistryError, Snapshot,
@@ -50,7 +59,7 @@ use trace::{Recorder, Ring};
 /// disabled; metrics always work.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 #[derive(Debug)]
@@ -83,7 +92,7 @@ impl Telemetry {
     /// Tracing with a record-time filter (layer bitmask and/or node).
     pub fn with_trace_filter(capacity: usize, filter: TraceFilter) -> Self {
         Self {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 registry: metrics::Registry::default(),
                 recorder: Recorder::On(Ring::new(capacity, filter)),
             }),
@@ -163,14 +172,6 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, ev: TraceEvent) {
         self.inner.recorder.record(ev);
-    }
-
-    /// Record a batch of events in order, claiming the ring head once for
-    /// the whole batch. Byte-identical trace output to recording each event
-    /// individually; cheaper when a dispatch emits several events.
-    #[inline]
-    pub fn record_batch(&self, evs: &[TraceEvent]) {
-        self.inner.recorder.record_batch(evs);
     }
 
     /// The recorded events, oldest first. Empty when disabled.
@@ -293,27 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_recording_is_byte_identical_to_singles() {
-        let singles = Telemetry::with_trace(8);
-        let batched = Telemetry::with_trace(8);
-        let evs: Vec<TraceEvent> = (0..11u64)
-            .map(|i| ev(i * 3, TraceKind::PacketInjected, (i % 4) as u16, i as u32))
-            .collect();
-        for e in &evs {
-            singles.record(*e);
-        }
-        // Flush in uneven chunks, including past the wrap point.
-        batched.record_batch(&evs[0..5]);
-        batched.record_batch(&evs[5..5]);
-        batched.record_batch(&evs[5..6]);
-        batched.record_batch(&evs[6..11]);
-        let a: Vec<String> = singles.events().iter().map(|e| e.to_line()).collect();
-        let b: Vec<String> = batched.events().iter().map(|e| e.to_line()).collect();
-        assert_eq!(a, b);
-        assert_eq!(singles.overwritten_events(), batched.overwritten_events());
-    }
-
-    #[test]
     fn disabled_recorder_drops_everything() {
         let tel = Telemetry::new();
         assert!(!tel.tracing_enabled());
@@ -324,15 +304,19 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts() {
-        let tel = Telemetry::with_trace(4);
-        for i in 0..6u64 {
+        let tel = Telemetry::with_trace_filter(4, TraceFilter::all().at_node(0));
+        // Three full wraps plus one, with a filter-rejected event (node 1)
+        // after every admitted one: rejects neither take a slot nor count
+        // as overwritten.
+        for i in 0..13u64 {
             tel.record(ev(i, TraceKind::PacketInjected, 0, i as u32));
+            tel.record(ev(i, TraceKind::PacketInjected, 1, i as u32));
         }
         let evs = tel.events();
-        assert_eq!(evs.len(), 4);
-        assert_eq!(evs[0].at_ns, 2, "oldest two must have been overwritten");
-        assert_eq!(evs[3].at_ns, 5);
-        assert_eq!(tel.overwritten_events(), 2);
+        let seqs: Vec<u32> = evs.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [9, 10, 11, 12], "the oldest nine are gone");
+        assert!(evs.iter().all(|e| e.node == 0));
+        assert_eq!(tel.overwritten_events(), 9);
         tel.clear_events();
         assert!(tel.events().is_empty());
         assert_eq!(tel.overwritten_events(), 0);

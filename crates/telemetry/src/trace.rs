@@ -8,8 +8,8 @@
 //! never silent). Events can be filtered at record time by layer bitmask
 //! and node, keeping deep traces affordable on big clusters.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The protocol layer an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,16 +30,6 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// All layers, for filter masks.
-    pub const ALL: [Layer; 6] = [
-        Layer::Fabric,
-        Layer::Nic,
-        Layer::Ft,
-        Layer::Vmmc,
-        Layer::Svm,
-        Layer::Host,
-    ];
-
     /// This layer's bit in a filter mask.
     #[inline]
     pub const fn bit(self) -> u8 {
@@ -341,89 +331,7 @@ impl TraceScan {
     }
 }
 
-/// One ring slot: a `TraceEvent` packed into four relaxed atomic words.
-///
-/// Relaxed `AtomicU64` stores and loads compile to plain `mov`s on every
-/// mainstream ISA, so recording costs one `fetch_add` (the index claim)
-/// plus four ordinary stores — no lock, ~8 ns per event. The trade-off is
-/// that a snapshot taken *while another thread records* may observe a
-/// half-written ("torn") event; simulations are single-threaded over
-/// their telemetry handle and export after the run, so this never arises
-/// in practice, and it is memory-safe (atomics, not UB) when it does.
-#[derive(Debug)]
-struct Slot([AtomicU64; 4]);
-
-impl Slot {
-    const fn empty() -> Self {
-        Self([
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-            AtomicU64::new(0),
-        ])
-    }
-
-    #[inline]
-    fn store(&self, ev: &TraceEvent) {
-        let w1 = ev.layer as u64
-            | (ev.kind as u64) << 8
-            | (ev.node as u64) << 16
-            | (ev.src as u64) << 32
-            | (ev.dst as u64) << 48;
-        let w2 = ev.generation as u64 | (ev.seq as u64) << 16;
-        self.0[0].store(ev.at_ns, Ordering::Relaxed);
-        self.0[1].store(w1, Ordering::Relaxed);
-        self.0[2].store(w2, Ordering::Relaxed);
-        self.0[3].store(ev.aux, Ordering::Relaxed);
-    }
-
-    fn load(&self) -> TraceEvent {
-        let w1 = self.0[1].load(Ordering::Relaxed);
-        let w2 = self.0[2].load(Ordering::Relaxed);
-        TraceEvent {
-            at_ns: self.0[0].load(Ordering::Relaxed),
-            layer: layer_from(w1 as u8),
-            kind: kind_from((w1 >> 8) as u8),
-            node: (w1 >> 16) as u16,
-            src: (w1 >> 32) as u16,
-            dst: (w1 >> 48) as u16,
-            generation: w2 as u16,
-            seq: (w2 >> 16) as u32,
-            aux: self.0[3].load(Ordering::Relaxed),
-        }
-    }
-}
-
-fn layer_from(b: u8) -> Layer {
-    Layer::ALL[(b as usize).min(Layer::ALL.len() - 1)]
-}
-
-fn kind_from(b: u8) -> TraceKind {
-    use TraceKind::*;
-    const KINDS: [TraceKind; 18] = [
-        PacketEnqueued,
-        PacketInjected,
-        PacketHop,
-        PacketDropped,
-        PacketCorrupted,
-        PacketDelivered,
-        PacketDeposited,
-        AckSent,
-        AckProcessed,
-        TimerFired,
-        Retransmit,
-        ProbeSent,
-        GenerationBump,
-        DmaStart,
-        DmaEnd,
-        PathReset,
-        TenantDelivered,
-        Reconfig,
-    ];
-    KINDS[(b as usize).min(KINDS.len() - 1)]
-}
-
-/// Fixed-capacity overwrite-oldest event buffer, lock-free.
+/// Fixed-capacity overwrite-oldest event buffer.
 ///
 /// `head` counts every admitted event ever recorded; the slot written is
 /// `head % capacity` (capacity is rounded up to a power of two so the
@@ -432,21 +340,31 @@ fn kind_from(b: u8) -> TraceKind {
 #[derive(Debug)]
 pub(crate) struct Ring {
     filter: TraceFilter,
-    slots: Box<[Slot]>,
+    slots: Box<[Cell<TraceEvent>]>,
     mask: u64,
-    head: AtomicU64,
+    head: Cell<u64>,
 }
 
 impl Ring {
     pub(crate) fn new(capacity: usize, filter: TraceFilter) -> Self {
         assert!(capacity > 0, "trace ring capacity must be nonzero");
         let cap = capacity.next_power_of_two();
-        let slots: Box<[Slot]> = (0..cap).map(|_| Slot::empty()).collect();
+        let empty = TraceEvent {
+            at_ns: 0,
+            layer: Layer::Fabric,
+            kind: TraceKind::PacketEnqueued,
+            node: 0,
+            src: 0,
+            dst: 0,
+            generation: 0,
+            seq: 0,
+            aux: 0,
+        };
         Self {
             filter,
-            slots,
+            slots: (0..cap).map(|_| Cell::new(empty)).collect(),
             mask: cap as u64 - 1,
-            head: AtomicU64::new(0),
+            head: Cell::new(0),
         }
     }
 
@@ -455,69 +373,37 @@ impl Ring {
         if !self.filter.admits(&ev) {
             return;
         }
-        // Plain load+store, not `fetch_add`: an uncontended RMW is still a
-        // ~20-cycle locked op, and one simulation records from one thread.
-        // Concurrent recorders (not a supported pattern, same caveat as
-        // torn snapshot reads above) would at worst co-claim a slot.
-        let head = self.head.load(Ordering::Relaxed);
-        self.head.store(head + 1, Ordering::Relaxed);
-        let idx = head & self.mask;
-        self.slots[idx as usize].store(&ev);
-        // Touch the cache line two slots ahead so its read-for-ownership
-        // overlaps the simulation work between events instead of stalling
-        // the next record call (slots are half a line; +2 is the next line).
-        let ahead = ((idx + 2) & self.mask) as usize;
-        self.slots[ahead].0[0].load(Ordering::Relaxed);
-    }
-
-    /// Batched push: claims the head once for the whole admitted batch and
-    /// writes the slots sequentially. Order within the batch is preserved,
-    /// so flushing an engine-side buffer at dispatch boundaries keeps the
-    /// global trace byte-identical to unbatched recording.
-    pub(crate) fn push_batch(&self, evs: &[TraceEvent]) {
-        // Count admitted events first so the head moves exactly once.
-        let admitted = evs.iter().filter(|e| self.filter.admits(e)).count() as u64;
-        if admitted == 0 {
-            return;
-        }
-        let head = self.head.load(Ordering::Relaxed);
-        self.head.store(head + admitted, Ordering::Relaxed);
-        let mut idx = head;
-        for ev in evs {
-            if self.filter.admits(ev) {
-                self.slots[(idx & self.mask) as usize].store(ev);
-                idx += 1;
-            }
-        }
+        let head = self.head.get();
+        self.head.set(head + 1);
+        self.slots[(head & self.mask) as usize].set(ev);
     }
 
     pub(crate) fn events(&self) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Relaxed);
+        let head = self.head.get();
         let cap = self.slots.len() as u64;
         let n = head.min(cap);
         let start = if head > cap { head & self.mask } else { 0 };
         (0..n)
-            .map(|i| self.slots[((start + i) & self.mask) as usize].load())
+            .map(|i| self.slots[((start + i) & self.mask) as usize].get())
             .collect()
     }
 
     pub(crate) fn overwritten(&self) -> u64 {
-        let head = self.head.load(Ordering::Relaxed);
-        head.saturating_sub(self.slots.len() as u64)
+        self.head.get().saturating_sub(self.slots.len() as u64)
     }
 
     pub(crate) fn clear(&self) {
-        self.head.store(0, Ordering::Relaxed);
+        self.head.set(0);
     }
 }
 
 /// The recorder behind a `Telemetry` handle. Disabled tracing is one
-/// branch on this enum — the tentpole's "feature-gated cheap" guarantee.
+/// branch on this enum.
 #[derive(Debug)]
 pub(crate) enum Recorder {
     /// No ring allocated; `record` is a single discriminant test.
     Off,
-    /// Lock-free bounded ring (see [`Ring`]).
+    /// Bounded overwrite-oldest ring (see [`Ring`]).
     On(Ring),
 }
 
@@ -527,14 +413,6 @@ impl Recorder {
         match self {
             Recorder::Off => {}
             Recorder::On(ring) => ring.push(ev),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn record_batch(&self, evs: &[TraceEvent]) {
-        match self {
-            Recorder::Off => {}
-            Recorder::On(ring) => ring.push_batch(evs),
         }
     }
 }

@@ -45,6 +45,17 @@ echo "== san-mc smoke (exhaustive 2-node model check + leak-knob canary)"
 # re-introduced PR 2 leak, this gate trips.
 cargo run --release -q -p san-mc -- check --smoke
 
+echo "== san-mc trace (an event the model cannot take is an error, not a panic)"
+set +e
+out=$(cargo run --release -q -p san-mc -- trace tiny2 crates/mc/tests/not_enabled.trace --sim 2>&1)
+code=$?
+set -e
+echo "$out"
+if [[ $code -ne 1 ]] || ! grep -q "is not enabled" <<<"$out"; then
+    echo "ERROR: san-mc trace on a not-enabled event exited $code, want 1 with an error line" >&2
+    exit 1
+fi
+
 echo "== engine smoke (scheduler throughput floor + serial determinism gate)"
 cargo run --release -q -p san-bench --bin engine -- --smoke
 
