@@ -1,9 +1,12 @@
 //! Ablations of the paper's design choices (DESIGN.md §5):
 //!
-//! 1. single periodic timer vs per-packet timers (AM-II),
-//! 2. go-back-N vs selective retransmission + receiver buffering,
 //! 3. sender-based feedback vs fixed ACK-every-K,
-//! 4. on-demand partial mapping vs mapping the whole network.
+//! 4. on-demand partial mapping vs mapping the whole network,
+//! 5. uniform vs bursty wire loss at the same average rate.
+//!
+//! Sections 1, 2 and 3b (per-packet timers, selective retransmission,
+//! reliable reception) compared firmware modes that have since been
+//! removed; their last results are kept in EXPERIMENTS.md.
 
 use san_bench::{parse_mode, tsv};
 use san_fabric::{topology, NodeId};
@@ -26,90 +29,6 @@ fn main() {
         }
     };
     let deadline = Time::from_secs(240);
-
-    // ---- 1. Timer architecture --------------------------------------------
-    println!("Ablation 1: single periodic timer (paper) vs per-packet timers (AM-II)");
-    println!();
-    println!(
-        "{:<26} {:>10} {:>10} {:>14} {:>12}",
-        "config", "err", "MB/s", "timer fires", "retransmits"
-    );
-    for &err in &[0.0f64, 1e-3] {
-        for &per_pkt in &[false, true] {
-            let mut p = ProtocolConfig::default().with_error_rate(err);
-            p.per_packet_timers = per_pkt;
-            let bw = unidirectional_bandwidth(
-                &FwKind::Ft(p),
-                4096,
-                msgs_for(err),
-                ClusterConfig::default(),
-                deadline,
-            );
-            let label = if per_pkt {
-                "per-packet timers"
-            } else {
-                "single timer (paper)"
-            };
-            println!(
-                "{label:<26} {:>10} {:>10.1} {:>14} {:>12}",
-                format!("{err:.0e}"),
-                bw.mbps,
-                bw.timer_fires,
-                bw.retransmits
-            );
-            tsv(&[
-                "timers".into(),
-                label.into(),
-                format!("{err:.0e}"),
-                format!("{:.2}", bw.mbps),
-                bw.retransmits.to_string(),
-            ]);
-        }
-    }
-    println!();
-
-    // ---- 2. Go-back-N vs selective ----------------------------------------
-    println!("Ablation 2: go-back-N (paper) vs selective retransmission + rx buffering");
-    println!();
-    println!(
-        "{:<26} {:>10} {:>10} {:>12}",
-        "config", "err", "MB/s", "retransmits"
-    );
-    for &err in &[1e-3f64, 1e-2] {
-        for &selective in &[false, true] {
-            let mut p = ProtocolConfig::default().with_error_rate(err);
-            p.selective_retransmission = selective;
-            let bw = unidirectional_bandwidth(
-                &FwKind::Ft(p),
-                4096,
-                msgs_for(err),
-                ClusterConfig {
-                    send_bufs: 128,
-                    ..Default::default()
-                },
-                deadline,
-            );
-            let label = if selective {
-                "selective + rx-buffer"
-            } else {
-                "go-back-N (paper)"
-            };
-            println!(
-                "{label:<26} {:>10} {:>10.1} {:>12}",
-                format!("{err:.0e}"),
-                bw.mbps,
-                bw.retransmits
-            );
-            tsv(&[
-                "selective".into(),
-                label.into(),
-                format!("{err:.0e}"),
-                format!("{:.2}", bw.mbps),
-                bw.retransmits.to_string(),
-            ]);
-        }
-    }
-    println!();
 
     // ---- 3. ACK-request policy --------------------------------------------
     println!("Ablation 3: sender-based feedback (paper) vs fixed ACK-every-K");
@@ -139,40 +58,6 @@ fn main() {
             tsv(&[
                 "feedback".into(),
                 label,
-                format!("{err:.0e}"),
-                format!("{:.2}", bw.mbps),
-            ]);
-        }
-    }
-    println!();
-
-    // ---- 3b. Reliability level (VI spec) -----------------------------------
-    println!("Ablation 3b: reliable delivery (paper) vs reliable reception (VI's strongest)");
-    println!();
-    println!("{:<30} {:>10} {:>10}", "config", "err", "MB/s");
-    for &err in &[0.0f64, 1e-3] {
-        for &reception in &[false, true] {
-            let mut p = ProtocolConfig::default().with_error_rate(err);
-            p.reliable_reception = reception;
-            let bw = unidirectional_bandwidth(
-                &FwKind::Ft(p),
-                4096,
-                msgs_for(err),
-                ClusterConfig {
-                    send_bufs: 8,
-                    ..Default::default()
-                },
-                deadline,
-            );
-            let label = if reception {
-                "reliable reception"
-            } else {
-                "reliable delivery (paper)"
-            };
-            println!("{label:<30} {:>10} {:>10.1}", format!("{err:.0e}"), bw.mbps);
-            tsv(&[
-                "level".into(),
-                label.into(),
                 format!("{err:.0e}"),
                 format!("{:.2}", bw.mbps),
             ]);
@@ -277,8 +162,7 @@ fn main() {
     ]);
 
     if let Some(dir) = san_bench::telemetry_dir() {
-        // Representative point: per-packet timers at 1e-2 errors — the
-        // timer_fired events in the trace dwarf the single-timer scheme's.
+        // Representative point: the paper's firmware at 1e-2 errors.
         let proto = ProtocolConfig::default().with_error_rate(1e-2);
         san_bench::instrumented_stream(&dir, "ablate", &FwKind::Ft(proto), 4096, 128, 32);
     }

@@ -29,7 +29,7 @@ use san_topo::TopoSpec;
 const MESSAGES: u64 = 100;
 /// Payload bytes per message.
 const BYTES: u32 = 2048;
-/// Wall budget per measurement (the "max hosts in 60 s" criterion).
+/// Wall budget per measurement (the "max hosts in 60 s" bound).
 const WALL_BUDGET_SECS: f64 = 60.0;
 /// Sim-time slice per driver iteration.
 const SLICE: Duration = Duration::from_millis(1);

@@ -5,7 +5,7 @@
 //! repository's unit tests each probe one scenario. This crate turns the
 //! claim into a falsifiable, randomized test harness:
 //!
-//! * [`campaign`] — a serde-able scenario model: a [`Campaign`] describes
+//! * [`campaign`] — a JSON-backed scenario model: a [`Campaign`] describes
 //!   a *family* of runs (fault-probability spans, flap/kill/storm counts,
 //!   topology, traffic shape, protocol knobs); `Campaign::sample(i)`
 //!   derives a fully concrete, replayable [`Trial`] from `(seed, i)`.

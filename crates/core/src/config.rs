@@ -1,10 +1,9 @@
 //! Protocol configuration — the paper's Table 1 parameter space.
 
 use san_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// How the sender decides when to set the ACK-request bit (§4.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedbackPolicy {
     /// The paper's sender-based feedback: the request interval scales with
     /// the free-buffer level — scarce buffers → request on every packet;
@@ -44,7 +43,7 @@ impl FeedbackPolicy {
 }
 
 /// Retransmission-protocol configuration (§4.1, Table 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Retransmission timer interval *and* the age threshold after which an
     /// unacknowledged packet is considered lost. Paper sweep: 10 µs – 1 s;
@@ -71,21 +70,6 @@ pub struct ProtocolConfig {
     /// disabled, a permanently dead path just stalls — the configuration of
     /// the microbenchmark sweeps, where only transient errors exist.
     pub enable_mapping: bool,
-    /// ABLATION (AM-II design, §2): one timer event per transmitted packet
-    /// instead of the paper's single periodic timer. Every expiry costs NIC
-    /// CPU even when the packet was long since acknowledged.
-    pub per_packet_timers: bool,
-    /// EXTENSION (VI / Infiniband reliability levels, §2): *reliable
-    /// reception* — acknowledge only after the payload has fully landed in
-    /// host memory, instead of the default *reliable delivery* (ACK when
-    /// the NIC has the packet). Stronger guarantee, longer ACK latency.
-    pub reliable_reception: bool,
-    /// ABLATION: selective retransmission — the receiver buffers
-    /// out-of-order packets (bounded window) and the sender retransmits only
-    /// the timed-out head instead of the whole queue. The paper's design
-    /// deliberately omits this (§4.1.1, no receiver buffering); Figure 8's
-    /// q=128/1e-2 collapse is attributed to its absence.
-    pub selective_retransmission: bool,
     /// EXTENSION: adaptive retransmission control. The firmware estimates a
     /// smoothed per-destination RTT (plus variance) from ACK round trips,
     /// excluding samples from retransmitted packets (Karn's rule), and ages
@@ -123,9 +107,6 @@ impl Default for ProtocolConfig {
             drop_interval: None,
             perm_fail_threshold: Duration::from_millis(50),
             enable_mapping: false,
-            per_packet_timers: false,
-            reliable_reception: false,
-            selective_retransmission: false,
             adaptive_rto: false,
             rto_min: Duration::from_micros(200),
             rto_max: Duration::from_secs(1),
@@ -193,7 +174,7 @@ impl ProtocolConfig {
 }
 
 /// On-demand mapper configuration (§4.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MapperConfig {
     /// How long to wait for a batch of probes before concluding silence.
     pub probe_timeout: Duration,

@@ -36,11 +36,9 @@ use crate::step::{
 
 /// Timer token: the retransmission scan.
 pub const TOKEN_RETX: u64 = 0;
-/// Timer tokens in `[TOKEN_MAPPER_BASE, TOKEN_PKT_BASE)` belong to the mapper.
+/// Timer tokens in `[TOKEN_MAPPER_BASE, TOKEN_REMAP_RETRY_BASE)` belong to
+/// the mapper.
 pub const TOKEN_MAPPER_BASE: u64 = 1 << 32;
-/// Timer tokens at or above this are per-packet expiries (the AM-II
-/// ablation): `TOKEN_PKT_BASE | dst << 32 | seq`.
-pub const TOKEN_PKT_BASE: u64 = 1 << 48;
 /// Timer tokens at or above this retry an on-demand mapping run that ended
 /// in an (untrusted) unreachable verdict: `TOKEN_REMAP_RETRY_BASE | dst`.
 pub const TOKEN_REMAP_RETRY_BASE: u64 = 1 << 49;
@@ -61,9 +59,6 @@ pub struct ReliableFirmware {
     cfg: ProtocolConfig,
     senders: Vec<SenderState>,
     receivers: Vec<ReceiverState>,
-    /// Out-of-order packets held per source (selective-retransmission
-    /// ablation only; the paper's design keeps these empty).
-    rx_buffers: Vec<std::collections::BTreeMap<u32, Packet>>,
     mapper: Mapper,
     /// Data packets processed by the injector so far (drop-interval clock).
     tx_counter: u64,
@@ -73,10 +68,6 @@ pub struct ReliableFirmware {
     gauges: Option<Vec<DstGauges>>,
 }
 
-/// Bound on buffered out-of-order packets per source in the selective
-/// ablation.
-const RX_BUFFER_WINDOW: u32 = 64;
-
 impl ReliableFirmware {
     /// Build the firmware for a cluster of `n_nodes` hosts.
     pub fn new(cfg: ProtocolConfig, mapper_cfg: MapperConfig, n_nodes: usize) -> Self {
@@ -84,7 +75,6 @@ impl ReliableFirmware {
             cfg,
             senders: (0..n_nodes).map(|_| SenderState::default()).collect(),
             receivers: (0..n_nodes).map(|_| ReceiverState::default()).collect(),
-            rx_buffers: (0..n_nodes).map(|_| Default::default()).collect(),
             mapper: Mapper::new(mapper_cfg),
             tx_counter: 0,
             n_nodes,
@@ -283,7 +273,6 @@ impl ReliableFirmware {
         ctx: &mut NicCtx,
         to: NodeId,
         reverse: Route,
-        earliest: Time,
     ) {
         let r = &self.receivers[to.idx()];
         let (ack_seq, ack_gen) = (r.cumulative_ack(), r.generation);
@@ -297,10 +286,7 @@ impl ReliableFirmware {
         ack.ack_seq = ack_seq;
         ack.ack_gen = ack_gen;
         ack.flags.set(PacketFlags::PIGGY_ACK);
-        let t = core
-            .cpu
-            .acquire(ctx.now(), core.timing.ack_build)
-            .max(earliest);
+        let t = core.cpu.acquire(ctx.now(), core.timing.ack_build);
         core.stats.acks_tx.hit();
         ft_trace(
             core,
@@ -315,82 +301,12 @@ impl ReliableFirmware {
         self.receivers[to.idx()].note_ack_sent();
     }
 
-    /// Arm a per-packet expiry (AM-II ablation).
-    fn arm_pkt_timer(&self, core: &NicCore, ctx: &mut NicCtx, dst: NodeId, seq: u32) {
-        if !self.cfg.per_packet_timers {
-            return;
-        }
-        let token = TOKEN_PKT_BASE | ((dst.0 as u64) << 32) | seq as u64;
-        let node = core.node;
-        // Same self-pacing rationale as `arm_timer`.
-        let at = core.cpu.free_at().max(ctx.now()) + self.cfg.retx_timeout;
-        ctx.sim.schedule(
-            at,
-            san_nic::ClusterEvent::Nic(node, san_nic::NicEvent::Timer { token }),
-        );
-    }
-
-    /// Selective-repeat retransmission (ablation): resend every packet that
-    /// has individually aged past the timeout — but, unlike go-back-N, not
-    /// the packets transmitted recently. Paired with receiver buffering,
-    /// retransmissions of packets the receiver already holds become cheap
-    /// duplicates instead of useful redeliveries.
-    fn retransmit_aged(&mut self, core: &mut NicCore, ctx: &mut NicCtx, dst: NodeId) {
-        let now = ctx.now();
-        let s = &self.senders[dst.idx()];
-        if s.mapping || s.retrans_q.is_empty() {
-            return;
-        }
-        if now < s.retx_busy_until {
-            return;
-        }
-        let aged: Vec<BufId> = s
-            .retrans_q
-            .iter()
-            .copied()
-            .filter(|&b| now.since(core.pool.last_tx(b)) >= self.cfg.retx_timeout)
-            .collect();
-        let n = aged.len();
-        for (i, b) in aged.iter().enumerate() {
-            let t = core.cpu.acquire(now, core.timing.retx_per_pkt);
-            if i + 1 == n {
-                core.pool.pkt_mut(*b).flags.set(PacketFlags::ACK_REQUEST);
-            }
-            core.stats.retransmits.hit();
-            let (seq, generation) = {
-                let p = core.pool.pkt(*b);
-                (p.seq, p.generation)
-            };
-            ft_trace(
-                core,
-                now,
-                TraceKind::Retransmit,
-                dst,
-                generation,
-                seq,
-                i as u64,
-            );
-            core.transmit_from(ctx, *b, t);
-            self.arm_pkt_timer(core, ctx, dst, seq);
-        }
-        if n > 0 {
-            let s = &mut self.senders[dst.idx()];
-            s.retx_busy_until = core.net_tx.free_at();
-            // Karn's rule: resent seqs are ambiguous; only callers on the
-            // timeout path reach here, so the expiry backoff widens too.
-            s.karn_barrier = s.next_seq;
-            if self.cfg.adaptive_rto {
-                s.rtt.bump_backoff();
-            }
-        }
-    }
-
     /// Retransmit the unacknowledged window to `dst`, in order, from SRAM
     /// (go-back-N). The last one requests an ACK so recovery completes even
     /// with no further traffic.
     ///
-    /// `timeout` marks a loss-triggered replay (periodic scan or per-packet
-    /// expiry) as opposed to an opportunistic one (path reset, fresh route
+    /// `timeout` marks a loss-triggered replay (the periodic scan) as
+    /// opposed to an opportunistic one (path reset, fresh route
     /// after a remap): only real timeouts widen the adaptive backoff and
     /// clamp the damped window.
     fn retransmit_queue(
@@ -432,7 +348,6 @@ impl ReliableFirmware {
                 i as u64,
             );
             core.transmit_from(ctx, *b, t);
-            self.arm_pkt_timer(core, ctx, dst, seq);
         }
         self.senders[dst.idx()].retx_busy_until = core.net_tx.free_at();
         self.publish_gauges(dst);
@@ -472,7 +387,6 @@ impl ReliableFirmware {
                     core.stats.injected_drops.hit();
                     ft_trace(core, now, TraceKind::PacketDropped, dst, generation, seq, 0);
                     core.pool.mark_tx(b, now);
-                    self.arm_pkt_timer(core, ctx, dst, seq);
                     continue;
                 }
                 core.stats.packets_tx.hit();
@@ -481,7 +395,6 @@ impl ReliableFirmware {
                 ft_trace(core, now, TraceKind::Retransmit, dst, generation, seq, 0);
             }
             core.transmit_from(ctx, b, t);
-            self.arm_pkt_timer(core, ctx, dst, seq);
         }
     }
 
@@ -736,12 +649,10 @@ impl Firmware for ReliableFirmware {
             core.stats.injected_drops.hit();
             ft_trace(core, now, TraceKind::PacketDropped, dst, generation, seq, 0);
             core.pool.mark_tx(buf, now);
-            self.arm_pkt_timer(core, ctx, dst, seq);
             return; // the packet sits in the retransmission queue only
         }
         core.stats.packets_tx.hit();
         core.transmit_from(ctx, buf, fw_done);
-        self.arm_pkt_timer(core, ctx, dst, seq);
     }
 
     fn on_tx_injected(&mut self, _core: &mut NicCore, _ctx: &mut NicCtx, _buf: BufId) {
@@ -765,63 +676,28 @@ impl Firmware for ReliableFirmware {
                 match verdict {
                     RxVerdict::Accept => {
                         core.stats.data_accepted.hit();
-                        let generation = pkt.generation;
-                        let deposited = core.deposit_from(ctx, pkt, fw_done);
-                        // Selective ablation: drain any buffered successors
-                        // that are now in order.
-                        if self.cfg.selective_retransmission {
-                            loop {
-                                let expected = self.receivers[src.idx()].expected;
-                                let Some(p) = self.rx_buffers[src.idx()].remove(&expected) else {
-                                    break;
-                                };
-                                if self.receivers[src.idx()].classify(p.seq, generation)
-                                    == RxVerdict::Accept
-                                {
-                                    core.stats.data_accepted.hit();
-                                    core.deposit_from(ctx, p, fw_done);
-                                }
-                            }
-                        }
+                        core.deposit_from(ctx, pkt, fw_done);
                         // Explicit ACK when requested, or when the group
                         // threshold is reached with no reverse traffic to
                         // piggy-back on.
                         let group_due =
                             group_ack_due(&self.receivers[src.idx()], self.cfg.receiver_ack_every);
                         if ack_requested || group_due {
-                            // Reliable *reception* (VI's strongest level)
-                            // withholds the ACK until the host memory write
-                            // has completed; reliable *delivery* (the
-                            // paper's level) acknowledges from the NIC.
-                            let earliest = if self.cfg.reliable_reception {
-                                deposited
-                            } else {
-                                Time::ZERO
-                            };
-                            self.send_explicit_ack(core, ctx, src, reverse, earliest);
+                            // Reliable delivery: the NIC acknowledges on
+                            // receipt, without waiting for the host write.
+                            self.send_explicit_ack(core, ctx, src, reverse);
                         }
                     }
                     RxVerdict::Duplicate => {
                         core.stats.dup_drops.hit();
                         // Re-ACK so the sender can free its window.
                         if ack_requested {
-                            self.send_explicit_ack(core, ctx, src, reverse, Time::ZERO);
+                            self.send_explicit_ack(core, ctx, src, reverse);
                         }
                     }
                     RxVerdict::OutOfOrder => {
-                        if self.cfg.selective_retransmission {
-                            // Buffer within a bounded window instead of
-                            // dropping (the design the paper rejects).
-                            let expected = self.receivers[src.idx()].expected;
-                            if pkt.seq.wrapping_sub(expected) < RX_BUFFER_WINDOW {
-                                self.rx_buffers[src.idx()].insert(pkt.seq, pkt);
-                            } else {
-                                core.stats.ooo_drops.hit();
-                            }
-                        } else {
-                            core.stats.ooo_drops.hit();
-                            // Dropped with no buffering and no NACK (§4.1.1).
-                        }
+                        // Dropped with no buffering and no NACK (§4.1.1).
+                        core.stats.ooo_drops.hit();
                     }
                     RxVerdict::StaleGeneration => {
                         core.stats.stale_gen_drops.hit();
@@ -842,44 +718,6 @@ impl Firmware for ReliableFirmware {
         if token >= TOKEN_REMAP_RETRY_BASE {
             let dst = NodeId((token & 0xFFFF) as u16);
             self.on_remap_retry(core, ctx, dst);
-            return;
-        }
-        if token >= TOKEN_PKT_BASE {
-            // Per-packet expiry (AM-II ablation): the check costs CPU even
-            // when the packet has long been acknowledged.
-            core.stats.timer_fires.hit();
-            ft_trace(
-                core,
-                ctx.now(),
-                TraceKind::TimerFired,
-                core.node,
-                0,
-                0,
-                token,
-            );
-            core.cpu.acquire(ctx.now(), core.timing.timer_scan_base);
-            let dst = NodeId(((token >> 32) & 0xFFFF) as u16);
-            let seq = (token & 0xFFFF_FFFF) as u32;
-            let s = &self.senders[dst.idx()];
-            let unacked = s.retrans_q.iter().any(|&b| {
-                core.pool.pkt(b).seq == seq && core.pool.pkt(b).generation == s.generation
-            });
-            if unacked {
-                let head_age = ctx
-                    .now()
-                    .since(core.pool.last_tx(*s.retrans_q.front().unwrap()));
-                if head_age >= self.cfg.retx_timeout {
-                    if self.cfg.selective_retransmission {
-                        self.retransmit_aged(core, ctx, dst);
-                    } else {
-                        self.retransmit_queue(core, ctx, dst, true);
-                    }
-                } else {
-                    // Something ahead of this packet was (re)sent recently;
-                    // the expiry must re-arm or the packet is orphaned.
-                    self.arm_pkt_timer(core, ctx, dst, seq);
-                }
-            }
             return;
         }
         if token >= TOKEN_MAPPER_BASE {
@@ -923,12 +761,6 @@ impl Firmware for ReliableFirmware {
                     && now.since(s.last_progress) >= self.cfg.perm_fail_threshold
                 {
                     self.start_remap(core, ctx, dst);
-                } else if self.cfg.per_packet_timers {
-                    // Retransmission duty belongs to the per-packet expiries
-                    // in this ablation; the periodic scan only watches for
-                    // permanent failures.
-                } else if self.cfg.selective_retransmission {
-                    self.retransmit_aged(core, ctx, dst);
                 } else {
                     self.retransmit_queue(core, ctx, dst, true);
                 }

@@ -471,7 +471,7 @@ impl NodeState {
 /// and the sim-vs-model bridge tests.
 ///
 /// Deliberate scope: the fixed-timer paper baseline (no adaptive RTO, no
-/// window damping, no selective ablation), with mapping collapsed to its
+/// window damping), with mapping collapsed to its
 /// *protocol-visible* transitions (route invalid / mapping / resolved /
 /// retry) — probe mechanics live in [`crate::Mapper`] and are irrelevant
 /// to the delivery and descriptor-conservation invariants.
@@ -789,9 +789,6 @@ impl NodeModel {
                 let mb = st.pool[b.0 as usize].as_mut().expect("queued buf occupied");
                 mb.seq = seq;
                 mb.generation = generation;
-                // Renumbered packets are fresh transmissions of the new
-                // generation; the sticky request bit re-arms per replay.
-                mb.ack_request = false;
             }
             s.map_attempts = 0;
             out.push(NodeAction::GenerationBump { dst, generation });
@@ -998,6 +995,43 @@ mod tests {
         assert!(matches!(acts[0], NodeAction::Deposit { payload: 7, .. }));
         assert!(matches!(acts[1], NodeAction::AckTx { ack_seq: 0, .. }));
         assert_eq!(st.receivers[0].expected, 1);
+    }
+
+    #[test]
+    fn renumbered_window_keeps_its_ack_request_bits() {
+        // The firmware's `finish_remap` rewrites seq and generation only;
+        // the sticky ACK_REQUEST flag stays on every queued packet.
+        let mut m = two_node_model();
+        m.feedback = FeedbackPolicy::EveryK(1);
+        let mut st = m.initial_state(0, 0);
+        for p in 0..2u64 {
+            let (next, _) = m.step(&st, &NodeEvent::PostSend { dst: 1, payload: p });
+            st = next;
+        }
+        let (st, _) = m.step(&st, &NodeEvent::SuspectPermFail { dst: 1 });
+        let (st, acts) = m.step(
+            &st,
+            &NodeEvent::MapResolved {
+                dst: 1,
+                found: true,
+            },
+        );
+        assert_eq!(st.senders[1].generation, 1);
+        let replayed: Vec<ModelPacket> = acts
+            .iter()
+            .filter_map(|a| match a {
+                NodeAction::Transmit { pkt, .. } => Some(*pkt),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replayed.len(), 2);
+        for (i, pkt) in replayed.iter().enumerate() {
+            assert_eq!((pkt.seq, pkt.generation), (i as u32, 1));
+            assert!(
+                pkt.ack_request,
+                "renumbered packet {i} lost its request bit"
+            );
+        }
     }
 
     #[test]

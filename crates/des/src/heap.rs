@@ -3,8 +3,7 @@
 //! This is the implementation the timing wheel must match pop for pop: the
 //! sequence number makes simultaneous events fire in insertion order, which
 //! is what makes whole-system runs reproducible. No simulation runs on it;
-//! it stays in the tree only for the wheel-vs-heap proptests and the
-//! scheduler microbenchmark.
+//! it stays in the tree only for the wheel-vs-heap proptests.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -8,8 +8,7 @@
 //!   close to the horizon, with pop order *identical* to a binary heap keyed
 //!   on `(time, insertion sequence)` — the determinism contract of the repo.
 //! * [`heap::HeapQueue`] — the original `BinaryHeap` scheduler. Nothing runs
-//!   on it: it is the reference the wheel proptests and the scheduler
-//!   microbenchmark compare against.
+//!   on it: it is the reference the wheel proptests compare against.
 //!
 //! Everything here is plain `std`; determinism is the design constraint that
 //! shapes each structure, and each module documents the ordering invariant it

@@ -234,7 +234,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         }
     }
     if on_sim {
-        let sim = san_mc::replay_on_sim(&cfg, &trace);
+        let sim = match san_mc::replay_on_sim(&cfg, &trace) {
+            Ok(sim) => sim,
+            Err(e) => {
+                eprintln!("{file}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!(
             "sim replay: posted {} delivered {} failed {} pool-in-use {:?} drained {} -> {}",
             sim.posted,

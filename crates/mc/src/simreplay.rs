@@ -98,9 +98,15 @@ impl HostAgent for ScheduledHost {
 
 /// Replay the environment schedule of `trace` (posts and link flaps; the
 /// protocol-internal events are the simulator's own job) on a 2-host
-/// chain. Panics if `cfg` is not a 2-node configuration.
-pub fn replay_on_sim(cfg: &McConfig, trace: &[McEvent]) -> SimReplay {
-    assert_eq!(cfg.n_nodes, 2, "sim replay supports 2-node configs");
+/// chain. Errors if `cfg` is not a 2-node configuration or a post names a
+/// node outside it or addresses its own sender.
+pub fn replay_on_sim(cfg: &McConfig, trace: &[McEvent]) -> Result<SimReplay, String> {
+    if cfg.n_nodes != 2 {
+        return Err(format!(
+            "sim replay supports 2-node configs, `{}` has {} nodes",
+            cfg.name, cfg.n_nodes
+        ));
+    }
     let (topo, host_a, host_b) = topology::chain(1);
     let node_of = [host_a, host_b];
     // chain(1): LinkId(1) is the sw0–hostB edge — severing it partitions
@@ -118,6 +124,11 @@ pub fn replay_on_sim(cfg: &McConfig, trace: &[McEvent]) -> SimReplay {
         let at = BASE + STEP * i as u64;
         match *ev {
             McEvent::Post { src, dst } => {
+                if src.max(dst) >= 2 || src == dst {
+                    return Err(format!(
+                        "event {i}: `post {src} {dst}` needs two distinct nodes below 2"
+                    ));
+                }
                 let id = next_msg.entry((src, dst)).or_insert(0);
                 posts[src as usize].push((at, node_of[dst as usize], *id));
                 *id += 1;
@@ -192,14 +203,29 @@ pub fn replay_on_sim(cfg: &McConfig, trace: &[McEvent]) -> SimReplay {
             let mut uniq = delivered.borrow().clone();
             uniq.sort_unstable();
             uniq.dedup();
-            return SimReplay {
+            return Ok(SimReplay {
                 posted,
                 delivered: uniq.len() as u64,
                 failed: failed.borrow().len() as u64,
                 pool_in_use: cluster.nics.iter().map(|n| n.core.pool.in_use()).collect(),
                 drained,
-            };
+            });
         }
         t += Duration::from_millis(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hostile_schedules_are_errors() {
+        let post = |src, dst| vec![McEvent::Post { src, dst }];
+        let tiny = McConfig::tiny2();
+        assert!(replay_on_sim(&tiny, &post(0, 7)).is_err());
+        assert!(replay_on_sim(&tiny, &post(7, 0)).is_err());
+        assert!(replay_on_sim(&tiny, &post(1, 1)).is_err());
+        assert!(replay_on_sim(&McConfig::incast3(), &post(0, 1)).is_err());
     }
 }

@@ -18,9 +18,6 @@ pub struct BwPoint {
     pub retransmits: u64,
     /// Packets suppressed by the error injector.
     pub injected_drops: u64,
-    /// Retransmission-timer events processed (single-timer scans plus
-    /// per-packet expiries in that ablation).
-    pub timer_fires: u64,
     /// The run completed before its deadline.
     pub completed: bool,
 }
@@ -75,11 +72,6 @@ pub fn pingpong_bandwidth(
             .iter()
             .map(|n| n.core.stats.injected_drops.get())
             .sum(),
-        timer_fires: cluster
-            .nics
-            .iter()
-            .map(|n| n.core.stats.timer_fires.get())
-            .sum(),
         completed,
     }
 }
@@ -124,11 +116,6 @@ pub fn unidirectional_bandwidth(
             .nics
             .iter()
             .map(|n| n.core.stats.injected_drops.get())
-            .sum(),
-        timer_fires: cluster
-            .nics
-            .iter()
-            .map(|n| n.core.stats.timer_fires.get())
             .sum(),
         completed,
     }

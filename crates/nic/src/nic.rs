@@ -378,15 +378,14 @@ impl NicCore {
     }
 
     /// DMA a received data packet into host memory and notify the process.
-    /// Returns the instant the deposit completes.
-    pub fn deposit(&mut self, ctx: &mut NicCtx, pkt: Packet) -> Time {
+    pub fn deposit(&mut self, ctx: &mut NicCtx, pkt: Packet) {
         let now = ctx.now();
         self.deposit_from(ctx, pkt, now)
     }
 
     /// [`NicCore::deposit`] with an earliest host-DMA start (receive-side
-    /// firmware processing must finish first). Returns the completion time.
-    pub fn deposit_from(&mut self, ctx: &mut NicCtx, mut pkt: Packet, earliest: Time) -> Time {
+    /// firmware processing must finish first).
+    pub fn deposit_from(&mut self, ctx: &mut NicCtx, mut pkt: Packet, earliest: Time) {
         let cost = self.timing.host_dma(pkt.payload_len);
         let (start, done) = self.host_dma.acquire_window(ctx.now().max(earliest), cost);
         let bytes = pkt.payload_len as u64;
@@ -404,7 +403,6 @@ impl NicCore {
             seen,
             ClusterEvent::Host(node, HostEvent::Deliver { pkt: Box::new(pkt) }),
         );
-        done
     }
 
     /// Build the standard probe reply (this NIC's identity) for a host probe

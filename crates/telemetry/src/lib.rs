@@ -15,8 +15,7 @@
 //! * a **structured trace ring** ([`Telemetry::record`]) — a bounded,
 //!   zero-alloc-on-hot-path recorder of packet/protocol events with
 //!   virtual-ns timestamps, filterable by layer and node. A disabled
-//!   recorder is one enum branch (see `benches/telemetry.rs` in
-//!   `san-bench` for the overhead proof);
+//!   recorder is one enum branch;
 //! * a **packet-lifecycle reconstructor** ([`lifecycle::reconstruct`]) —
 //!   joins trace events by `(src, dst, generation, seq)` into per-packet
 //!   timelines, e.g. proving a Figure 5 retransmission was spurious

@@ -134,35 +134,4 @@ proptest! {
         }
         prop_assert_eq!(ib.borrow().len(), 3, "mapping must deliver the messages");
     }
-
-    /// The ablated variants (per-packet timers; selective retransmission)
-    /// preserve the delivery guarantee — they only change costs.
-    #[test]
-    fn ablations_preserve_correctness(
-        per_packet in any::<bool>(),
-        selective in any::<bool>(),
-        drop_every in 5u64..40,
-    ) {
-        let (topo, _a, _b) = topology::pair_via_switch();
-        let ib = inbox();
-        let n = 60u64;
-        let hosts: Vec<Box<dyn HostAgent>> = vec![
-            Box::new(StreamSender::new(NodeId(1), 1024, n)),
-            Box::new(Collector(ib.clone())),
-        ];
-        let proto = ProtocolConfig {
-            drop_interval: Some(drop_every),
-            per_packet_timers: per_packet,
-            selective_retransmission: selective,
-            ..Default::default()
-        };
-        let mut c = ft_cluster(topo, ClusterConfig::default(), proto, hosts);
-        let mut t = Time::from_millis(50);
-        while (ib.borrow().len() as u64) < n && t < Time::from_secs(20) {
-            c.run_until(t);
-            t += Duration::from_millis(50);
-        }
-        let ids: Vec<u64> = ib.borrow().iter().map(|p| p.msg_id).collect();
-        prop_assert_eq!(ids, (0..n).collect::<Vec<_>>());
-    }
 }
